@@ -9,16 +9,22 @@ lattice mu = j, nu = k tau.  One kick period acts in two stages:
 
 with f(nu) = nu in the classical regime (hbar = 0) and
 f(nu) = (2/hbar) sin(hbar nu / 2) in the quantum one.  The kick reads only
-pre-kick values (double buffered).  Initial data is the dipole-perturbation
-symbol (v1 mu + v2 nu) exp(i(q0 mu + p0 nu)).
+pre-kick values.  Initial data is the dipole-perturbation symbol
+(v1 mu + v2 nu) exp(i(q0 mu + p0 nu)).
 
-Exactness and conditioning
---------------------------
+Exactness and cost
+------------------
 The lattice is sized to contain the full backward dependency cone of the
 probe cells over the whole run, so there is no truncation error; any access
-outside the guaranteed cone raises instead of silently truncating.  Cost is
-O(n^3) memory and O(n^4) time, with each sweep pruned to the cells that can
-still influence a probe.
+outside the guaranteed cone raises instead of silently truncating.  There is
+one lattice, float64 in split mode and complex128 in direct mode, with
+(2J + 1)(2K + 1) = O(n^3) cells (`lattice_extents`).  Each period is swept in
+place, row by row, over the per-row column hull of the backward cone only,
+keeping three rows of scratch; a table of those hulls is built once.  Time
+is proportional to the cone's cell count, O(n^4): 2.75e8 cells for the probe
+pair at n = 200.  `GField.lattice_bytes` is the whole allocation (lattice,
+row buffers, hull table) and is what the memory budget is checked against;
+at n = 200 in split mode it is about 133 MB.
 
 The evolution is linear, and phased-linear fields
 
@@ -103,6 +109,35 @@ def _pi_multiple(x: float) -> int | None:
     return int(m) if abs(x - m * np.pi) <= 1e-12 * max(1.0, abs(x)) else None
 
 
+def _cone_table(n_max: int, keep: tuple[int, int], J: int, K: int) -> np.ndarray:
+    """Column hulls, per period and lattice row, of the cells a sweep evaluates.
+
+    Entry [t - 1] holds four rows of lattice column indices: the pre-kick
+    hull (lo, hi) and the post-kick hull (lo, hi) of period t, with lo > hi
+    for an empty row.  Built backward from period n_max: the keep window is
+    read after every period; a post-kick cell needs the pre-kick cells of its
+    own row and of the two neighbouring rows; free flight moves pre-kick
+    (j, k) of period t to post-kick (j, k + j) of period t - 1.
+    """
+    rows, cols = 2 * J + 1, 2 * K + 1
+    j = np.arange(-J, J + 1)
+    in_keep = np.abs(j) <= keep[0]
+    table = np.empty((n_max, 4, rows), dtype=np.int32)
+    lo, hi = np.full(rows, cols), np.full(rows, -1)
+    for t in range(n_max, 0, -1):
+        lo[in_keep] = np.minimum(lo[in_keep], K - keep[1])
+        hi[in_keep] = np.maximum(hi[in_keep], K + keep[1])
+        lo_pad = np.pad(lo, 1, constant_values=cols)
+        hi_pad = np.pad(hi, 1, constant_values=-1)
+        pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo_pad[1:-1]), lo_pad[2:])
+        pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi_pad[1:-1]), hi_pad[2:])
+        table[t - 1] = pre_lo, pre_hi, lo, hi
+        filled = pre_lo <= pre_hi
+        lo = np.where(filled, pre_lo + j, cols)
+        hi = np.where(filled, pre_hi + j, -1)
+    return table
+
+
 class GField:
     """Perturbation symbol on the shear lattice, advanced period by period.
 
@@ -135,16 +170,21 @@ class GField:
             raise ValidationError("split mode needs q0 and p0*tau to be multiples of pi")
         self.split = splittable if mode == "auto" else (mode == "split")
 
+        # the split deviation stays real: carried part, kick and source are real
+        dtype = np.dtype(float if self.split else complex)
         rows, cols = 2 * self.J + 1, 2 * self.K + 1
-        need = 2 * rows * cols * 16
-        if need > max_bytes:
+        table_bytes = self.n_max * 4 * rows * np.dtype(np.int32).itemsize
+        self._lattice_bytes = (rows + 3) * cols * dtype.itemsize + table_bytes
+        if self._lattice_bytes > max_bytes:
             raise ResourceError(
-                f"lattice of {rows} x {cols} cells needs {need} bytes "
-                f"(two complex buffers), exceeding the budget of {max_bytes}")
+                f"lattice of {rows} x {cols} {dtype} cells with three row buffers and "
+                f"the cone table needs {self._lattice_bytes} bytes, exceeding the "
+                f"budget of {max_bytes}")
+        self._cone = _cone_table(self.n_max, self.keep, self.J, self.K)
 
         self._k = np.arange(-self.K, self.K + 1)
-        self._j = np.arange(-self.J, self.J + 1)
         self._fcol = params.f(params.tau * self._k)
+        self._half_gamma_f = (params.gamma / 2.0) * self._fcol
 
         if self.split:
             self._m0, self._mb = m0, mb
@@ -152,13 +192,19 @@ class GField:
             self.c_nu = complex(params.v2)
             # deviation lattice: identically zero until a quantum kick sources it
             self._dev: np.ndarray | None = None
-            self._buf: np.ndarray | None = None
         else:
             self._m0 = self._mb = 0
             self.c_mu = self.c_nu = 0.0 + 0.0j
-            phase = np.exp(1j * (params.q0 * self._j[:, None] + params.p0 * params.tau * self._k[None, :]))
-            self._dev = (params.v1 * self._j[:, None] + params.v2 * params.tau * self._k[None, :]) * phase
-            self._buf = np.zeros_like(self._dev)
+            self._dev = np.empty((rows, cols), dtype=dtype)
+            for r, j in enumerate(range(-self.J, self.J + 1)):
+                phase = np.exp(1j * (params.q0 * j + params.p0 * params.tau * self._k))
+                np.multiply(params.v1 * j + params.v2 * params.tau * self._k, phase,
+                            out=self._dev[r])
+
+    @property
+    def lattice_bytes(self) -> int:
+        """Bytes the evolution allocates at most: lattice, row buffers, cone table."""
+        return self._lattice_bytes
 
     # -- carried phased-linear part -----------------------------------------
 
@@ -211,12 +257,38 @@ class GField:
 
     # -- evolution -------------------------------------------------------------
 
-    def _sweep_bounds(self, t: int) -> tuple[int, int]:
-        u = self.n_max - t
-        kj, kk = self.keep
-        jt = min(kj + u + 1, self.J)
-        kt = min(kk + u * kj + u * (u + 1) // 2 + 1, self.K)
-        return jt, kt
+    def _sweep(self, t: int, source: np.ndarray | None, flip_odd_rows: bool) -> None:
+        """Free flight and kick of period t, in place, over the backward cone.
+
+        Rows go in ascending order.  Row j's pre-kick values (old row j read
+        at k + j) are copied to `pre` before row j is overwritten; the row
+        below, already overwritten, is read from its copy `below`, and the
+        row above is still old and is read in place at k + j + 1.
+        """
+        dev = self._dev
+        pre, below, diff = (np.empty(dev.shape[1], dtype=dev.dtype) for _ in range(3))
+        pre_lo, pre_hi, post_lo, post_hi = self._cone[t - 1].tolist()
+        below_lo = 0
+        for r in range(dev.shape[0]):
+            lo, hi = pre_lo[r], pre_hi[r]
+            if lo > hi:
+                continue
+            j = r - self.J
+            np.copyto(pre[: hi - lo + 1], dev[r, lo + j : hi + j + 1])
+            a, b = post_lo[r], post_hi[r] + 1
+            if a < b:
+                d = diff[: b - a]
+                np.subtract(dev[r + 1, a + j + 1 : b + j + 1],
+                            below[a - below_lo : b - below_lo], out=d)
+                np.multiply(self._half_gamma_f[a:b], d, out=d)
+                out = dev[r, a:b]
+                np.add(pre[a - lo : b - lo], d, out=out)
+                if source is not None:
+                    if flip_odd_rows and j % 2:
+                        out -= source[a:b]
+                    else:
+                        out += source[a:b]
+            pre, below, below_lo = below, pre, lo
 
     def advance(self) -> None:
         """Advance one full period in place (free flight, then kick)."""
@@ -231,40 +303,22 @@ class GField:
         post_free_c_mu = self.c_mu + tau * self.c_nu if self.split else self.c_mu
         need_source = self.split and not params.classical and post_free_c_mu != 0.0
         if need_source and self._dev is None:
-            rows, cols = 2 * self.J + 1, 2 * self.K + 1
-            self._dev = np.zeros((rows, cols), dtype=complex)
-            self._buf = np.zeros_like(self._dev)
+            self._dev = np.zeros((2 * self.J + 1, 2 * self.K + 1), dtype=float)
+        parity = self._kick_parity(t)
+        sign = -1.0 if parity else 1.0
 
         if self._dev is not None:
-            dev, buf = self._dev, self._buf
-            J, K = self.J, self.K
-            jt, kt = self._sweep_bounds(t)
-            lo, hi = K - kt, K + kt + 1
-            for jj in range(-jt, jt + 1):
-                r = J + jj
-                buf[r, lo:hi] = dev[r, lo + jj : hi + jj]
-            r0, r1 = J - jt + 1, J + jt
-            dev[r0:r1, lo:hi] = buf[r0:r1, lo:hi] + (gamma / 2.0) * self._fcol[lo:hi] * (
-                buf[r0 + 1 : r1 + 1, lo:hi] - buf[r0 - 1 : r1 - 1, lo:hi])
+            source = None
+            if need_source:
+                source = (sign * gamma * post_free_c_mu).real * self._fcol
+                if self._mb % 2:
+                    source = source * np.where(self._k % 2, -1.0, 1.0)
+            self._sweep(t, source, flip_odd_rows=bool(parity))
 
         if self.split:
             self.c_mu = post_free_c_mu
-            parity = self._kick_parity(t)
-            sign = -1.0 if parity else 1.0
             if params.classical:
                 self.c_nu = self.c_nu + sign * gamma * post_free_c_mu
-            elif need_source:
-                jt, kt = self._sweep_bounds(t)
-                lo, hi = self.K - kt, self.K + kt + 1
-                r0, r1 = self.J - jt + 1, self.J + jt
-                src_col = sign * gamma * post_free_c_mu * self._fcol[lo:hi]
-                if self._mb % 2:
-                    src_col = src_col * np.where(self._k[lo:hi] % 2, -1.0, 1.0)
-                if parity:
-                    row_sign = np.where(self._j[r0:r1] % 2, -1.0, 1.0)
-                    self._dev[r0:r1, lo:hi] += row_sign[:, None] * src_col[None, :]
-                else:
-                    self._dev[r0:r1, lo:hi] += src_col[None, :]
         self.t = t
 
     def copy(self) -> "GField":
@@ -272,7 +326,6 @@ class GField:
         clone.__dict__.update(self.__dict__)
         if self._dev is not None:
             clone._dev = self._dev.copy()
-            clone._buf = self._buf.copy()
         return clone
 
 

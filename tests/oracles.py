@@ -7,6 +7,8 @@ dictionary iteration where the production path uses pruned array sweeps.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from tomolyap.tomography import GaussianDensity, WaveFunction
@@ -47,16 +49,17 @@ def ground_state(dy: float = 0.004, span: float = 10.0, shift_q: float = 0.0,
     return WaveFunction(y, psi, hbar=hbar)
 
 
-def brute_force_probes(gamma: float, hbar: float, tau: float, n_max: int,
-                       v1: float = 1.0, v2: float = 1.0):
+def _dictionary_lattice(gamma: float, hbar: float, tau: float, n_max: int,
+                        targets, v1: float, v2: float, q0: float, p0: float):
     """Dictionary-lattice evolution of the shear/kick recursion.
 
-    Evolves every cell reachable backward from the probe pair over n_max
-    periods; no arrays, no pruning arithmetic, just the recursion as written.
-    Returns rows (G(1, tau, t), G(1, -tau, t)).
+    Evolves every cell reachable backward from the target cells over n_max
+    periods, starting from (v1 mu + v2 nu) exp(i(q0 mu + p0 nu)); no arrays,
+    no pruning arithmetic, just the recursion as written.  Yields the lattice
+    (a dict keyed by (j, k)) at t = 0..n_max; every stored value is exact.
     """
     need = set()
-    frontier = {(1, 1), (-1, -1)}
+    frontier = set(targets)
     for _ in range(n_max + 1):
         need |= frontier
         nxt = set()
@@ -69,8 +72,9 @@ def brute_force_probes(gamma: float, hbar: float, tau: float, n_max: int,
     def f(nu):
         return nu if hbar == 0 else (2.0 / hbar) * np.sin(hbar * nu / 2.0)
 
-    cur = {(j, k): complex(v1 * j + v2 * k * tau) for (j, k) in need}
-    probes = [(cur[(1, 1)], cur[(-1, -1)])]
+    cur = {(j, k): complex(v1 * j + v2 * k * tau) * cmath.exp(1j * (q0 * j + p0 * tau * k))
+           for (j, k) in need}
+    yield cur
     for _ in range(n_max):
         # free flight shears the whole domain: source (j, k) lands on (j, k - j)
         shifted = {(j, k - j): val for (j, k), val in cur.items()}
@@ -80,5 +84,25 @@ def brute_force_probes(gamma: float, hbar: float, tau: float, n_max: int,
             if up in shifted and down in shifted:
                 out[(j, k)] = val + 0.5 * gamma * f(k * tau) * (shifted[up] - shifted[down])
         cur = out
-        probes.append((cur[(1, 1)], cur[(-1, -1)]))
-    return np.array(probes)
+        yield cur
+
+
+def brute_force_probes(gamma: float, hbar: float, tau: float, n_max: int,
+                       v1: float = 1.0, v2: float = 1.0, q0: float = 0.0, p0: float = 0.0):
+    """Probe rows (G(1, tau, t), G(-1, -tau, t)), t = 0..n_max, from the
+    dictionary lattice."""
+    probes = ((1, 1), (-1, -1))
+    lattices = _dictionary_lattice(gamma, hbar, tau, n_max, probes, v1, v2, q0, p0)
+    return np.array([[cur[cell] for cell in probes] for cur in lattices])
+
+
+def brute_force_windows(gamma: float, hbar: float, tau: float, n_max: int,
+                        keep: tuple[int, int], v1: float = 1.0, v2: float = 1.0,
+                        q0: float = 0.0, p0: float = 0.0):
+    """G on the window |j| <= keep[0], |k| <= keep[1] at t = 0..n_max, from the
+    dictionary lattice; shape (n_max + 1, 2 keep[0] + 1, 2 keep[1] + 1)."""
+    cells = [[(j, k) for k in range(-keep[1], keep[1] + 1)]
+             for j in range(-keep[0], keep[0] + 1)]
+    targets = [cell for row in cells for cell in row]
+    lattices = _dictionary_lattice(gamma, hbar, tau, n_max, targets, v1, v2, q0, p0)
+    return np.array([[[cur[cell] for cell in row] for row in cells] for cur in lattices])

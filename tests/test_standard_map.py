@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from tomolyap.standard_map import (
     hbar_resonance,
     lattice_extents,
 )
-from oracles import brute_force_probes
+from oracles import brute_force_probes, brute_force_windows
 
 LAMBDA_GOLDEN = 0.9624236501192069
 QUANTUM_STEP1 = 4.917702154416812  # 3 + 4 sin(1/2)
@@ -63,8 +65,23 @@ def test_initial_values_direct_mode_generic_phase():
 
 
 def test_memory_budget_enforced():
-    with pytest.raises(ResourceError):
+    with pytest.raises(ResourceError, match="float64"):
         init_gfield(classical_params(), 200, max_bytes=10_000_000)
+    with pytest.raises(ResourceError, match="complex128"):
+        init_gfield(classical_params(q0=0.7), 200, max_bytes=10_000_000)
+
+
+@pytest.mark.parametrize("mode", ["split", "direct"])
+def test_lattice_bytes_is_the_traced_peak(mode):
+    params = StandardMapParams(gamma=1.0, hbar=1.0)
+    budget = init_gfield(params, 60, mode=mode).lattice_bytes
+    tracemalloc.start()
+    try:
+        run_standard_map(params, 60, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak - budget) <= 0.1 * budget
 
 
 def test_lattice_extents_formula():
@@ -157,6 +174,41 @@ def test_engine_matches_brute_force(gamma, hbar):
         got.append(field.probe_pair())
     expected = brute_force_probes(gamma, hbar, 1.0, n)
     assert np.max(np.abs(np.array(got) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("q0", [0.0, np.pi])
+def test_split_column_sign_source_matches_brute_force(q0):
+    # p0 tau = pi puts a (-1)^k column sign on the quantum source term
+    n = 12
+    params = StandardMapParams(gamma=1.0, hbar=1.0, q0=q0, p0=np.pi)
+    field = init_gfield(params, n, mode="split")
+    got = [field.probe_pair()]
+    for _ in range(n):
+        field.advance()
+        got.append(field.probe_pair())
+    expected = brute_force_probes(1.0, 1.0, 1.0, n, q0=q0, p0=np.pi)
+    np.testing.assert_allclose(np.array(got), expected, rtol=1e-10, atol=0.0)
+
+
+# no classical q0 = pi case: the dictionary lattice's own roundoff in
+# exp(i pi j) grows through the unbounded classical kick coefficient
+@pytest.mark.parametrize("mode, q0, hbar", [
+    ("split", 0.0, 0.0), ("split", 0.0, 1.0), ("split", np.pi, 1.0),
+    ("direct", 0.0, 0.0), ("direct", 0.0, 1.0), ("direct", 1.3, 0.0), ("direct", 1.3, 1.0)])
+@pytest.mark.parametrize("keep", [(1, 1), (2, 5), (3, 2)])
+def test_keep_window_matches_dictionary_lattice(keep, mode, q0, hbar):
+    # every cell of the keep window is readable after every period, so a
+    # sweep hull that misses one shows here even when the probes are right
+    n = 10
+    params = StandardMapParams(gamma=1.0, hbar=hbar, q0=q0)
+    field = init_gfield(params, n, keep=keep, mode=mode)
+    expected = brute_force_windows(1.0, hbar, 1.0, n, keep, q0=q0)
+    for t in range(n + 1):
+        if t:
+            field.advance()
+        window = field.dense_window(*keep)
+        scale = max(1.0, np.max(np.abs(expected[t])))
+        assert np.max(np.abs(window - expected[t])) <= 1e-10 * scale, t
 
 
 def test_classical_linearity_preserved_direct_mode():
