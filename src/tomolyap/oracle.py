@@ -10,7 +10,8 @@ the fixed-point monodromies match the engines:
 * harmonic kick: free flight then kick, one-period matrix
   [[1, 1], [-z, 1 - z]];
 * cat map variants: the (constant) forward flow of the corresponding
-  quadratic model, i.e. the inverse of its parameter-transport matrix.
+  quadratic model, i.e. the inverse of its parameter-transport matrix,
+  built once per spec and held read-only.
 
 At a fixed point the two orderings are conjugate and share their spectrum.
 """
@@ -47,6 +48,14 @@ class KickedMapSpec:
             raise ValidationError("cat_map spec needs a variant")
         if len(self.initial) != self.dim:
             raise ValidationError(f"initial point must have {self.dim} components")
+        flow = None
+        if self.family == "cat_map":
+            # parameter transport is the inverse flow, so the trajectory map
+            # is the inverse of the one-period transport matrix; it is
+            # constant, so it is built once and shared read-only
+            flow = np.linalg.inv(floquet_lambda(build_cat_model(self.variant), 1).matrix)
+            flow.flags.writeable = False
+        object.__setattr__(self, "_flow", flow)
 
     @staticmethod
     def standard_map(gamma: float, tau: float = 1.0, q0: float = 0.0, p0: float = 0.0) -> "KickedMapSpec":
@@ -64,12 +73,6 @@ class KickedMapSpec:
     def dim(self) -> int:
         return 4 if self.family == "cat_map" else 2
 
-    def _cat_flow(self) -> np.ndarray:
-        # parameter transport is the inverse flow, so the trajectory map is
-        # the inverse of the one-period transport matrix
-        lam = floquet_lambda(build_cat_model(self.variant), 1).matrix
-        return np.linalg.inv(lam)
-
     def step(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
         if self.family == "standard_map":
@@ -82,7 +85,7 @@ class KickedMapSpec:
             q = q + p
             p = p - self.z * q
             return np.array([q, p])
-        return self._cat_flow() @ state
+        return self._flow @ state
 
     def jacobian(self, state: np.ndarray) -> np.ndarray:
         state = np.asarray(state, dtype=float)
@@ -91,7 +94,7 @@ class KickedMapSpec:
             return np.array([[1.0 + self.tau * c, self.tau], [c, 1.0]])
         if self.family == "harmonic_kick":
             return np.array([[1.0, 1.0], [-self.z, 1.0 - self.z]])
-        return self._cat_flow()
+        return self._flow
 
 
 def tangent_map_lyapunov(spec: KickedMapSpec, n_steps: int, v: np.ndarray | None = None,
@@ -102,9 +105,14 @@ def tangent_map_lyapunov(spec: KickedMapSpec, n_steps: int, v: np.ndarray | None
     exponents of order one stay far from overflow over 1e4+ steps.  A warmup
     prefix (default a tenth of the run) is discarded: by then the vector has
     aligned with the leading direction and the average is transient-free.
+    It must leave at least one counted step: 0 <= warmup < n_steps.
     """
     if n_steps < 100:
         raise ValidationError("need at least 100 steps")
+    if warmup is None:
+        warmup = n_steps // 10
+    if not 0 <= warmup < n_steps:
+        raise ValidationError(f"warmup must lie in [0, {n_steps}), got {warmup}")
     dim = spec.dim
     if v is None:
         v = np.zeros(dim)
@@ -116,8 +124,6 @@ def tangent_map_lyapunov(spec: KickedMapSpec, n_steps: int, v: np.ndarray | None
     if norm == 0:
         raise ValidationError("tangent vector must be nonzero")
     v = v / norm
-    if warmup is None:
-        warmup = n_steps // 10
     state = np.asarray(spec.initial, dtype=float)
     total = 0.0
     counted = 0

@@ -12,6 +12,13 @@ where Tr denotes the sum of the entries:
 * the word's final evaluation against the linear initial data is
   Tr(W_n x0) with x0 = (1, 1, 0).
 
+Every quantity read is a column sum of W, Tr(W e_i) = (1^T W)_i, and
+1^T (W M) = (1^T W) M, so `symbolic_expand` carries only the row vector 1^T W
+(3 integers per word) and multiplies it by the branch matrices: the
+f-argument is its middle entry and the end point its first two.  The
+integers are exact, so this equals the full matrix bookkeeping, which
+`expand_terms` keeps for its inspectable term set.
+
 The minus-branch matrix used here keeps the sign of the accumulated constant
 (last row (-1, -1, +1)); this is forced by agreement with the lattice engine,
 which is the ground truth the expansion is checked against for n <= 8.
@@ -61,20 +68,18 @@ def symbolic_expand(params: StandardMapParams, n: int) -> complex:
     Each word ends at a lattice point whose coordinates are the two column
     sums of its matrix product (mu_f from the first column, nu_f from the
     second), so the evaluation against initial data v1 mu + v2 nu is
-    v1 Tr(W (x0 - y0)) + v2 Tr(W y0).
+    v1 Tr(W (x0 - y0)) + v2 Tr(W y0).  Only the column sums 1^T W are
+    carried, 3 integers per word.
     """
     _check_expansion_inputs(params, n)
     half_gamma = 0.5 * params.gamma
-    words = np.eye(3, dtype=np.int64)[None, :, :]
+    sums = np.ones((1, 3), dtype=np.int64)  # 1^T W for the empty word W = I
     coeff = np.ones(1)
     for _ in range(n):
-        f_arg = words[:, :, 1].sum(axis=1)  # Tr(W y0): y0 picks the middle column
-        weight = half_gamma * params.f(f_arg.astype(float))
-        words = np.concatenate([words @ M0, words @ M_PLUS, words @ M_MINUS])
+        weight = half_gamma * params.f(sums[:, 1].astype(float))
+        sums = np.concatenate([sums @ M0, sums @ M_PLUS, sums @ M_MINUS])
         coeff = np.concatenate([coeff, coeff * weight, -coeff * weight])
-    mu_end = words[:, :, 0].sum(axis=1)
-    nu_end = words[:, :, 1].sum(axis=1)
-    return complex(np.dot(coeff, params.v1 * mu_end + params.v2 * nu_end))
+    return complex(np.dot(coeff, params.v1 * sums[:, 0] + params.v2 * sums[:, 1]))
 
 
 @dataclass(frozen=True)

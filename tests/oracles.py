@@ -2,7 +2,9 @@
 
 Everything here is deliberately written along a different route than the
 production code: closed forms where the production path integrates, plain
-dictionary iteration where the production path uses pruned array sweeps.
+dictionary iteration where the production path uses pruned array sweeps,
+direct sums and full matrices where it uses transforms and reduced
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import cmath
 
 import numpy as np
+from scipy.integrate import simpson
 from scipy.special import jv
 
+from tomolyap.standard_map import StandardMapParams
 from tomolyap.tomography import GaussianDensity, WaveFunction
 
 
@@ -39,6 +43,54 @@ def tomogram_by_vertical_quadrature(x, mu, nu, density: GaussianDensity, n_q: in
     p = (x[:, None] - mu * q[None, :]) / nu
     vals = density.pdf(q[None, :], p)
     return np.trapezoid(vals, q, axis=1) / abs(nu)
+
+
+def tomogram_by_line_quadrature(density: GaussianDensity, xhat, mu_u: float, nu_u: float,
+                                n_line: int):
+    """Arc-length line quadrature of a Gaussian density for every X at once.
+
+    The same sums as the blocked production sweep, formed as one full
+    (X, line) array, so the two must agree bit for bit.
+    """
+    tangent = np.array([-nu_u, mu_u])
+    half = 10.0 * np.sqrt(float(tangent @ density.covariance() @ tangent))
+    s_center = float(np.array([density.mean_q, density.mean_p]) @ tangent)
+    s = np.linspace(s_center - half, s_center + half, n_line)
+    q = xhat[:, None] * mu_u + s[None, :] * (-nu_u)
+    p = xhat[:, None] * nu_u + s[None, :] * mu_u
+    return simpson(density.pdf(q, p), dx=s[1] - s[0], axis=1)
+
+
+def pure_state_tomogram_by_phase_matrix(psi: WaveFunction, mu: float, nu: float, x):
+    """Pure-state marginal from the explicit (X, y) matrix of phases.
+
+    Every exp(-i X y / (nu hbar)) is formed and the y integral is done by
+    `scipy.integrate.simpson`, 64 X points at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    quad_phase = np.exp(1j * mu * psi.y * psi.y / (2.0 * nu * psi.hbar)) * psi.psi
+    amps = np.empty(x.size, dtype=complex)
+    for start in range(0, x.size, 64):
+        phases = np.exp(-1j * np.outer(x[start : start + 64], psi.y) / (nu * psi.hbar))
+        amps[start : start + 64] = simpson(phases * quad_phase[None, :], dx=psi.dy, axis=1)
+    return np.abs(amps) ** 2 / (2.0 * np.pi * psi.hbar * abs(nu))
+
+
+def symbolic_expand_by_word_matrices(params: StandardMapParams, n: int) -> complex:
+    """G(1, 1, tau, n) over all 3^n words, each carried as its full 3x3
+    integer matrix product (tau = 1, q0 = p0 = 0)."""
+    m0 = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=np.int64)
+    m_plus = np.array([[1, 1, 0], [0, 1, 0], [1, 1, 1]], dtype=np.int64)
+    m_minus = np.array([[1, 1, 0], [0, 1, 0], [-1, -1, 1]], dtype=np.int64)
+    words = np.eye(3, dtype=np.int64)[None, :, :]
+    coeff = np.ones(1)
+    for _ in range(n):
+        weight = 0.5 * params.gamma * params.f(words[:, :, 1].sum(axis=1).astype(float))
+        words = np.concatenate([words @ m0, words @ m_plus, words @ m_minus])
+        coeff = np.concatenate([coeff, coeff * weight, -coeff * weight])
+    mu_end = words[:, :, 0].sum(axis=1)
+    nu_end = words[:, :, 1].sum(axis=1)
+    return complex(np.dot(coeff, params.v1 * mu_end + params.v2 * nu_end))
 
 
 def ground_state(dy: float = 0.004, span: float = 10.0, shift_q: float = 0.0,

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tomolyap.oracle as oracle
 from tomolyap import (
     CatVariant,
     KickedMapSpec,
@@ -110,6 +111,30 @@ def test_tangent_vector_validation():
         tangent_map_lyapunov(spec, 200, v=np.zeros(2))
     with pytest.raises(ValidationError):
         tangent_map_lyapunov(spec, 200, v=np.ones(3))
+
+
+@pytest.mark.parametrize("warmup", [-1, 100, 150])
+def test_warmup_outside_run_rejected(warmup):
+    with pytest.raises(ValidationError):
+        tangent_map_lyapunov(KickedMapSpec.standard_map(1.0), 100, warmup=warmup)
+
+
+def test_cat_flow_built_once_and_read_only(monkeypatch):
+    calls = []
+    build = oracle.floquet_lambda
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "floquet_lambda", spy)
+    spec = KickedMapSpec.cat_map(CatVariant.H1)
+    tangent_map_lyapunov(spec, 1_000)
+    assert len(calls) == 1
+    jac = spec.jacobian(np.zeros(4))
+    assert not jac.flags.writeable
+    with pytest.raises(ValueError):
+        jac[0, 0] = 0.0
 
 
 def test_spec_validation():

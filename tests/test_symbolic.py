@@ -9,6 +9,7 @@ from tomolyap import (
     symbolic_expand,
 )
 from tomolyap.symbolic import M0, M_MINUS, M_PLUS, X0, Y0
+from oracles import symbolic_expand_by_word_matrices
 
 QUANTUM_STEP1 = 4.917702154416812  # 3 + 4 sin(1/2)
 
@@ -65,6 +66,14 @@ def test_expansion_matches_lattice(gamma, hbar):
         lattice = lattice_probe(params, n)
         scale = max(1.0, abs(lattice))
         assert abs(symbolic - lattice) / scale < 1e-9
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1.0])
+@pytest.mark.parametrize("gamma", [0.8, 1.0, 1.2])
+def test_column_sums_equal_word_matrices(gamma, hbar):
+    params = StandardMapParams(gamma=gamma, hbar=hbar, v1=0.7, v2=-1.3)
+    for n in range(13):
+        assert symbolic_expand(params, n) == symbolic_expand_by_word_matrices(params, n)
 
 
 def test_expansion_general_direction():

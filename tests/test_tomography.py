@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import simpson
 
 from tomolyap import (
     GaussianDensity,
@@ -11,6 +12,7 @@ from tomolyap import (
     Tomogram,
     UnsupportedDirectionError,
     ValidationError,
+    WaveFunction,
     forward_tomogram,
     gaussian_tomogram_family,
     inverse_tomogram,
@@ -19,9 +21,12 @@ from tomolyap import (
     tomogram_mean_position,
     wigner_from_tomogram,
 )
+from tomolyap.tomography import _line_quadrature_gaussian, _simpson_weights
 from oracles import (
     gaussian_tomogram_values,
     ground_state,
+    pure_state_tomogram_by_phase_matrix,
+    tomogram_by_line_quadrature,
     tomogram_by_vertical_quadrature,
 )
 
@@ -94,6 +99,16 @@ def test_forward_homogeneity_negative_scale():
     base = forward_tomogram(density, 0.8, 0.6)
     scaled = forward_tomogram(density, -0.8, -0.6, x_grid=-base.x[::-1])
     assert np.max(np.abs(scaled.values[::-1] - base.values)) < 1e-8
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.9, np.pi / 2, 2.5])
+def test_blocked_gaussian_line_quadrature_is_bit_equal_to_full_array(theta):
+    # 257 X points: the last block of rows is ragged
+    density = GaussianDensity(mean_q=0.5, mean_p=-0.4, sigma_q=1.2, sigma_p=0.85, correlation=-0.3)
+    xhat = np.linspace(-7.0, 6.5, 257)
+    mu_u, nu_u = np.cos(theta), np.sin(theta)
+    blocked = _line_quadrature_gaussian(density, xhat, mu_u, nu_u, 2001)
+    assert np.array_equal(blocked, tomogram_by_line_quadrature(density, xhat, mu_u, nu_u, 2001))
 
 
 def test_forward_grid_density_matches_analytic():
@@ -238,12 +253,58 @@ def test_pure_state_superposition_normalized():
     base = ground_state()
     psi = base.psi * (1.0 + 0.5 * base.y + 0.2j * base.y**2)
     psi /= np.sqrt(np.sum(np.abs(psi) ** 2) * base.dy)
-    from tomolyap import WaveFunction
-
     wf = WaveFunction(base.y, psi)
     tom = pure_state_tomogram(wf, np.cos(1.1), np.sin(1.1))
     assert abs(tom.mass() - 1.0) < 1e-4
     assert tom.values.min() >= -1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 5000, 5001])
+def test_simpson_weights_match_scipy(n):
+    y = np.linspace(-1.0, 2.0, n)
+    f = np.exp(-y * y) * (1.0 + 0.3 * y) + 0.2j * np.cos(3.0 * y)
+    dx = y[1] - y[0]
+    assert abs(_simpson_weights(n, dx) @ f - simpson(f, dx=dx)) < 1e-14
+
+
+def _phase_matrix_deviation(psi, theta, x_grid=None):
+    mu, nu = np.cos(theta), np.sin(theta)
+    tom = pure_state_tomogram(psi, mu, nu, x_grid=x_grid)
+    ref = pure_state_tomogram_by_phase_matrix(psi, mu, nu, tom.x)
+    return np.max(np.abs(tom.values - ref)) / ref.max()
+
+
+@pytest.mark.parametrize("theta", [np.pi / 128, 0.7, np.pi / 2, 3.0])
+def test_pure_state_matches_phase_matrix_quadrature(theta):
+    # theta = pi/128 is the smallest nu of a 64-direction family, where the
+    # chirp phase alpha k^2 / 2 is largest
+    psi = ground_state(shift_q=0.4, shift_p=-0.3)
+    assert _phase_matrix_deviation(psi, theta) < 1e-10
+
+
+def test_pure_state_matches_phase_matrix_on_even_grid_and_explicit_x():
+    odd = ground_state(shift_p=0.6)
+    psi = WaveFunction(odd.y[:-1], odd.psi[:-1])  # the dropped tail sample is ~1e-22
+    assert psi.y.size % 2 == 0
+    x = np.linspace(-3.0, 4.0, 301)
+    for theta in (np.pi / 128, 1.1):
+        assert _phase_matrix_deviation(psi, theta, x_grid=x) < 1e-10
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.5, 2.6])
+def test_pure_state_matches_phase_matrix_at_long_lags(theta):
+    # a broad state on a long grid: amplitude at y-distances beyond half the
+    # FFT length, where a wrongly wrapped chirp lag would show
+    y = np.arange(-20.0, 20.0 + 0.002, 0.004)
+    psi = np.exp(-((y - 0.5) ** 2) / 18.0 + 0.5j * y)
+    psi = WaveFunction(y, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * (y[1] - y[0])))
+    assert _phase_matrix_deviation(psi, theta) < 1e-10
+
+
+@pytest.mark.parametrize("x_grid", [1, (0.0, 1.0, 1)])
+def test_pure_state_rejects_single_point_x_grid(x_grid):
+    with pytest.raises(ValidationError):
+        pure_state_tomogram(ground_state(), 0.6, 0.8, x_grid=x_grid)
 
 
 def test_pure_state_rejects_nu_zero():
