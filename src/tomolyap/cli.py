@@ -111,11 +111,16 @@ def write_series_csv(path: Path, series) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_config(path: str | None) -> dict:
-    """Parse a key = value file; JSON-style scalars, # comments allowed."""
-    if path is None:
-        return {}
+def load_config(path: str | None) -> tuple[dict, dict]:
+    """Parse a key = value file; JSON-style scalars, # comments allowed.
+
+    Returns the values (a repeated key keeps its last value) and the line
+    each key first appears on.
+    """
     values: dict = {}
+    first_line: dict = {}
+    if path is None:
+        return values, first_line
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -131,23 +136,21 @@ def load_config(path: str | None) -> dict:
         text = text.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
+        first_line.setdefault(key, lineno)
         try:
             values[key] = json.loads(text)
         except json.JSONDecodeError:
             values[key] = text
-    return values
+    return values, first_line
 
 
-def merge_config(args: argparse.Namespace, config: dict, defaults: dict, path: str | None) -> dict:
-    """Flags override config values override defaults; unknown keys fail."""
+def merge_config(args: argparse.Namespace, defaults: dict) -> dict:
+    """Flags override values from `--config` override defaults; unknown keys fail."""
+    config, first_line = load_config(args.config)
     unknown = set(config) - set(defaults)
     if unknown:
-        lines = Path(path).read_text().splitlines() if path else []
-        for lineno, raw in enumerate(lines, start=1):
-            key = raw.split("#", 1)[0].split("=", 1)[0].strip().replace("-", "_")
-            if key in unknown:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        key = min(unknown, key=first_line.__getitem__)
+        raise ConfigError(f"{args.config}:{first_line[key]}: unknown key {key!r}")
     merged = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -171,7 +174,7 @@ def _base_record(kind: str, params: dict, seed) -> dict:
 
 def cmd_harmonic(args) -> int:
     defaults = {"z": 5.0, "n": 200, "v1": 1.0, "v2": 1.0}
-    cfg = merge_config(args, load_config(args.config), defaults, args.config)
+    cfg = merge_config(args, defaults)
     out = Path(args.out)
     series = harmonic_derivative_series(cfg["z"], int(cfg["n"]), cfg["v1"], cfg["v2"])
     estimate = estimate_exponent(series)
@@ -193,7 +196,7 @@ def cmd_harmonic(args) -> int:
 
 def cmd_cat(args) -> int:
     defaults = {"variant": "kick_only", "n_kicks": 1}
-    cfg = merge_config(args, load_config(args.config), defaults, args.config)
+    cfg = merge_config(args, defaults)
     out = Path(args.out)
     variant = CatVariant(cfg["variant"])
     model = build_cat_model(variant)
@@ -214,7 +217,7 @@ def cmd_cat(args) -> int:
 def cmd_standard_map(args) -> int:
     defaults = {"gamma": 1.0, "tau": 1.0, "hbar": 0.0, "q0": 0.0, "p0": 0.0,
                 "v1": 1.0, "v2": 1.0, "n": 60}
-    cfg = merge_config(args, load_config(args.config), defaults, args.config)
+    cfg = merge_config(args, defaults)
     out = Path(args.out)
     params = StandardMapParams(gamma=cfg["gamma"], tau=cfg["tau"], hbar=cfg["hbar"],
                                q0=cfg["q0"], p0=cfg["p0"], v1=cfg["v1"], v2=cfg["v2"])
@@ -248,7 +251,7 @@ def cmd_standard_map(args) -> int:
 def cmd_oracle(args) -> int:
     defaults = {"map": "standard", "gamma": 1.0, "tau": 1.0, "z": 5.0,
                 "variant": "kick_only", "q0": 0.0, "p0": 0.0, "steps": 10000}
-    cfg = merge_config(args, load_config(args.config), defaults, args.config)
+    cfg = merge_config(args, defaults)
     out = Path(args.out)
     if cfg["map"] == "standard":
         spec = KickedMapSpec.standard_map(cfg["gamma"], cfg["tau"], cfg["q0"], cfg["p0"])
@@ -275,7 +278,7 @@ def cmd_tomography(args) -> int:
     defaults = {"mean_q": 0.0, "mean_p": 0.0, "sigma_q": 1.0, "sigma_p": 1.0,
                 "correlation": 0.0, "mu": 1.0, "nu": 0.0, "x_points": 256,
                 "directions": 0, "homogeneity_samples": 0}
-    cfg = merge_config(args, load_config(args.config), defaults, args.config)
+    cfg = merge_config(args, defaults)
     out = Path(args.out)
     density = GaussianDensity(cfg["mean_q"], cfg["mean_p"], cfg["sigma_q"],
                               cfg["sigma_p"], cfg["correlation"])
@@ -319,7 +322,7 @@ def cmd_tomography(args) -> int:
 def cmd_compare(args) -> int:
     """Side-by-side exponents for the three systems sharing ln((3+sqrt5)/2)."""
     defaults = {"z": 5.0, "gamma": 1.0, "n": 60, "oracle_steps": 10000}
-    cfg = merge_config(args, load_config(args.config), defaults, args.config)
+    cfg = merge_config(args, defaults)
     out = Path(args.out)
     n = int(cfg["n"])
 

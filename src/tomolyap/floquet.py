@@ -15,6 +15,9 @@ For quadratic Hamiltonians, local or not, the marginal-distribution evolution
 law carries no hbar-dependent correction (all third and higher derivatives of
 the Hamiltonian vanish), so classical and quantum exponents coincide; the
 exponent is ln(spectral radius) of the one-period matrix.
+
+`floquet_lambda` imports `scipy.linalg.expm` on its first call, so importing
+this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import NumericalError, ValidationError
 from .series import DerivativeSeries
@@ -266,6 +268,8 @@ def floquet_lambda(model: QuadraticModel, n_kicks: int) -> FloquetMatrix:
     """n-period transport matrix (exp(S B0 tau) exp(S Bk))^n."""
     if n_kicks < 0:
         raise ValidationError("n_kicks must be nonnegative")
+    from scipy.linalg import expm
+
     s = symplectic_form(model.dimension)
     one = expm(s @ model.b0 * model.tau) @ expm(s @ model.bk)
     return FloquetMatrix(np.linalg.matrix_power(one, n_kicks), n_kicks)

@@ -37,12 +37,14 @@ scale of the states and their tangents.  A grid that would need more than
 `MAX_BYTES` raises `NumericalError` before it is allocated; nothing is
 truncated silently.  At gamma = hbar = 1, n = 200 the grid chosen is
 N = 256, S = 26, and its probes agree to about 1e-10 with N = 1024, S = 96.
+
+The kick's reach uses `scipy.special.jv`, imported on the first call of
+`_kick_reach`, so importing this module loads numpy only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import NumericalError, ValidationError
 from .standard_map import StandardMapParams
@@ -53,6 +55,8 @@ MAX_BYTES = 256 * 1024**2
 
 def _kick_reach(x: float) -> int:
     """Smallest M > |x| with |J_M(x)| below LEAK_TOL: one kick's reach in k."""
+    from scipy.special import jv
+
     m = int(abs(x)) + 1
     while abs(jv(m, x)) >= LEAK_TOL:
         m += 1

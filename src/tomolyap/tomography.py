@@ -29,6 +29,11 @@ of `GAUSSIAN_BLOCK_ROWS` X rows so the temporaries stay small.  A pure-state
 tomogram is one chirp-z transform of the N wave-function samples onto the M
 X points, computed by Bluestein's algorithm with one zero-padded FFT
 convolution: O((N + M) log(N + M)) rather than N M complex exponentials.
+
+Imports: the line quadratures load `scipy.integrate.simpson` (and, for
+gridded densities, `scipy.interpolate.RegularGridInterpolator`) on their first
+call, so importing this module loads numpy only.  Tomogram moments and
+pure-state tomograms use `_simpson_weights`, the same rule as a weight vector.
 """
 
 from __future__ import annotations
@@ -38,8 +43,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     InsufficientDataError,
@@ -65,9 +68,39 @@ def _require_uniform(axis: np.ndarray, name: str) -> float:
         raise ValidationError(f"{name} must be a 1-d grid with at least 2 points")
     steps = np.diff(axis)
     d = steps[0]
-    if d <= 0 or np.any(np.abs(steps - d) > 1e-9 * abs(d)):
-        raise ValidationError(f"{name} must be uniformly increasing")
+    # written so that a NaN or infinite sample fails the check
+    if not (0 < d < np.inf and np.all(np.abs(steps - d) <= 1e-9 * d)):
+        raise ValidationError(f"{name} must be finite and uniformly increasing")
     return float(d)
+
+
+def _simpson_weights(n: int, dx: float) -> np.ndarray:
+    """Weights w with w @ f equal to `simpson(f, dx=dx)` for n >= 2 samples.
+
+    Odd n is composite Simpson (1, 4, 2, ..., 4, 1) dx/3; even n applies it to
+    the first n - 1 samples and adds Cartwright's last-interval correction
+    (-1/12, 2/3, 5/12) dx, as scipy does; n = 2 is the trapezoid.
+    """
+    if n == 2:
+        return np.full(2, 0.5 * dx)
+    n_odd = n - 1 + n % 2
+    w = np.zeros(n)
+    w[1 : n_odd - 1 : 2] = 4.0 * dx / 3.0
+    w[2 : n_odd - 1 : 2] = 2.0 * dx / 3.0
+    w[0] = w[n_odd - 1] = dx / 3.0
+    if n % 2 == 0:
+        w[-3:] += np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0]) * dx
+    return w
+
+
+def _check_direction(mu: float, nu: float) -> float:
+    """Length of a usable direction (mu, nu): finite and not the zero vector."""
+    if not np.isfinite([mu, nu]).all():
+        raise InvalidDirectionError(f"direction ({mu}, {nu}) must be finite")
+    r = float(np.hypot(mu, nu))
+    if r == 0.0:
+        raise InvalidDirectionError("direction (mu, nu) must not be the zero vector")
+    return r
 
 
 def resolve_grid(spec, center: float, width: float, n_default: int = DEFAULT_X_POINTS) -> np.ndarray:
@@ -104,8 +137,10 @@ class GaussianDensity:
     correlation: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sigma_q <= 0 or self.sigma_p <= 0:
-            raise ValidationError("sigma_q and sigma_p must be positive")
+        if not np.isfinite([self.mean_q, self.mean_p]).all():
+            raise ValidationError("mean_q and mean_p must be finite")
+        if not (0 < self.sigma_q < np.inf and 0 < self.sigma_p < np.inf):
+            raise ValidationError("sigma_q and sigma_p must be positive and finite")
         if not -1.0 < self.correlation < 1.0:
             raise ValidationError("correlation must lie in (-1, 1)")
 
@@ -152,10 +187,12 @@ class GridDensity:
         self.dp = _require_uniform(self.p, "p grid")
         if self.values.shape != (self.q.size, self.p.size):
             raise ValidationError("values must have shape (len(q), len(p))")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("density values must be finite")
         if np.min(self.values) < -NEGATIVITY_JITTER:
             raise ValidationError(f"density has negative values (min {np.min(self.values):g})")
         mass = float(self.values.sum() * self.dq * self.dp)
-        if abs(mass - 1.0) > self.norm_tol:
+        if not abs(mass - 1.0) <= self.norm_tol:
             raise ValidationError(f"density mass {mass:.8g} deviates from 1 beyond {self.norm_tol:g}")
 
     def mass(self) -> float:
@@ -200,7 +237,7 @@ class WignerGrid:
         if self.values.shape != (self.q.size, self.p.size):
             raise ValidationError("values must have shape (len(q), len(p))")
         mass = float(self.values.sum() * self.dq * self.dp)
-        if abs(mass - 1.0) > self.norm_tol:
+        if not abs(mass - 1.0) <= self.norm_tol:
             raise ValidationError(f"Wigner mass {mass:.8g} deviates from 1 beyond {self.norm_tol:g}")
 
     def mass(self) -> float:
@@ -221,10 +258,12 @@ class WaveFunction:
         self.dy = _require_uniform(self.y, "y grid")
         if self.psi.shape != self.y.shape:
             raise ValidationError("psi must match the y grid")
-        if self.hbar <= 0:
-            raise ValidationError("hbar must be positive")
+        if not np.isfinite(self.psi).all():
+            raise ValidationError("psi must be finite")
+        if not 0 < self.hbar < np.inf:
+            raise ValidationError("hbar must be positive and finite")
         norm = float(np.sum(np.abs(self.psi) ** 2) * self.dy)
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:
             raise ValidationError(f"wave function norm {norm:.8g} deviates from 1 beyond 1e-06")
 
     def position_moments(self) -> tuple[float, float]:
@@ -254,26 +293,28 @@ class Tomogram:
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.mu == 0.0 and self.nu == 0.0:
-            raise InvalidDirectionError("direction (mu, nu) must not be the zero vector")
+        _check_direction(self.mu, self.nu)
         self.dx = _require_uniform(self.x, "X grid")
         if self.values.shape != self.x.shape:
             raise ValidationError("values must match the X grid")
+        if not np.isfinite(self.values).all():
+            raise ValidationError("tomogram values must be finite")
         if np.min(self.values) < -NEGATIVITY_JITTER:
             raise ValidationError(f"tomogram has negative values (min {np.min(self.values):g})")
         mass = self.mass()
-        if abs(mass - 1.0) > self.norm_tol:
+        if not abs(mass - 1.0) <= self.norm_tol:
             raise ValidationError(f"tomogram mass {mass:.8g} deviates from 1 beyond {self.norm_tol:g}")
 
     def mass(self) -> float:
-        return float(simpson(self.values, dx=self.dx))
+        return float(_simpson_weights(self.x.size, self.dx) @ self.values)
 
     def mean(self) -> float:
-        return float(simpson(self.values * self.x, dx=self.dx) / self.mass())
+        return float(_simpson_weights(self.x.size, self.dx) @ (self.values * self.x) / self.mass())
 
     def variance(self) -> float:
         m = self.mean()
-        return float(simpson(self.values * (self.x - m) ** 2, dx=self.dx) / self.mass())
+        w = _simpson_weights(self.x.size, self.dx)
+        return float(w @ (self.values * (self.x - m) ** 2) / self.mass())
 
     def theta(self) -> float:
         return float(np.arctan2(self.nu, self.mu))
@@ -323,6 +364,8 @@ class Tomogram:
 
 def _line_quadrature_gaussian(density: GaussianDensity, xhat: np.ndarray, mu_u: float, nu_u: float,
                               n_line: int) -> np.ndarray:
+    from scipy.integrate import simpson
+
     # Arc-length parametrization of the line mu_u q + nu_u p = X for a unit
     # direction: base point X*(mu_u, nu_u), tangent (-nu_u, mu_u).
     tangent = np.array([-nu_u, mu_u])
@@ -344,6 +387,9 @@ def _line_quadrature_gaussian(density: GaussianDensity, xhat: np.ndarray, mu_u: 
 
 
 def _line_quadrature_grid(density: GridDensity, xhat: np.ndarray, mu_u: float, nu_u: float) -> np.ndarray:
+    from scipy.integrate import simpson
+    from scipy.interpolate import RegularGridInterpolator
+
     interp = RegularGridInterpolator((density.q, density.p), density.values,
                                      bounds_error=False, fill_value=0.0)
     half = 0.5 * np.hypot(density.q[-1] - density.q[0], density.p[-1] - density.p[0])
@@ -373,9 +419,7 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,
     Densities are validated at construction, so any density accepted here is
     normalized; the output is normalized in X to quadrature accuracy.
     """
-    r = float(np.hypot(mu, nu))
-    if r == 0.0:
-        raise InvalidDirectionError("direction (mu, nu) must not be the zero vector")
+    r = _check_direction(mu, nu)
     mu_u, nu_u = mu / r, nu / r
 
     mean_x, var_x = density.projected_moments(mu, nu)
@@ -415,25 +459,6 @@ def gaussian_tomogram_family(density: PhaseSpaceDensity, n_directions: int = DEF
 # ---------------------------------------------------------------------------
 
 
-def _simpson_weights(n: int, dx: float) -> np.ndarray:
-    """Weights w with w @ f equal to `simpson(f, dx=dx)` for n >= 2 samples.
-
-    Odd n is composite Simpson (1, 4, 2, ..., 4, 1) dx/3; even n applies it to
-    the first n - 1 samples and adds Cartwright's last-interval correction
-    (-1/12, 2/3, 5/12) dx, as scipy does; n = 2 is the trapezoid.
-    """
-    if n == 2:
-        return np.full(2, 0.5 * dx)
-    n_odd = n - 1 + n % 2
-    w = np.zeros(n)
-    w[1 : n_odd - 1 : 2] = 4.0 * dx / 3.0
-    w[2 : n_odd - 1 : 2] = 2.0 * dx / 3.0
-    w[0] = w[n_odd - 1] = dx / 3.0
-    if n % 2 == 0:
-        w[-3:] += np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0]) * dx
-    return w
-
-
 def pure_state_tomogram(psi: WaveFunction, mu: float, nu: float, x_grid=None) -> Tomogram:
     """Quadrature marginal of a pure state for nu != 0.
 
@@ -456,6 +481,7 @@ def pure_state_tomogram(psi: WaveFunction, mu: float, nu: float, x_grid=None) ->
     N x M array of phases is formed; the per-X phase in front drops out of
     |.|^2.
     """
+    _check_direction(mu, nu)
     if nu == 0.0:
         raise UnsupportedDirectionError(
             "nu = 0 reduces to the position marginal of |psi|^2; use forward_tomogram")
@@ -623,4 +649,4 @@ def tomogram_mean_position(tomogram: Tomogram) -> float:
     if not (tomogram.mu == 1.0 and tomogram.nu == 0.0):
         raise InvalidDirectionError(
             f"mean position requires direction (1, 0), got ({tomogram.mu}, {tomogram.nu})")
-    return float(simpson(tomogram.values * tomogram.x, dx=tomogram.dx))
+    return float(_simpson_weights(tomogram.x.size, tomogram.dx) @ (tomogram.values * tomogram.x))

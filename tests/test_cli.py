@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tomolyap
 from tomolyap.cli import main
 
 LAMBDA_GOLDEN = 0.9624236501192069
@@ -157,6 +162,15 @@ def test_unknown_config_key_fails_with_line_number(tmp_path, capsys):
     assert ":2:" in err and "gamm" in err
 
 
+def test_unknown_config_key_reports_first_line_of_first_unknown(tmp_path, capsys):
+    # 'zz' is unknown and repeated on line 5; 'gamm' (line 3) is unknown too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("z = 5.0\nzz = 1\ngamm = 1.0\nn = 10\nzz = 2\n")
+    assert run(["harmonic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {cfg}:2: unknown key 'zz'\n"
+    assert not (tmp_path / "harmonic_result.json").exists()
+
+
 def test_malformed_config_line_fails(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("just words\n")
@@ -175,7 +189,37 @@ def test_module_error_maps_to_exit_3(tmp_path, capsys):
     assert payload["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("flag, value", [("--mean-q", "nan"), ("--sigma-q", "nan"),
+                                         ("--mu", "inf"), ("--sigma-p", "inf")])
+def test_non_finite_tomography_input_exits_3(tmp_path, capsys, flag, value):
+    assert run(["tomography", flag, value, "--out", str(tmp_path)]) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] in ("ValidationError", "InvalidDirectionError")
+    assert list(tmp_path.iterdir()) == []  # no record, so no NaN in one
+
+
 def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# start-up
+# ---------------------------------------------------------------------------
+
+
+def test_import_and_standard_map_run_load_no_scipy(tmp_path):
+    # a fresh interpreter: this test process has imported scipy already
+    code = (
+        "import sys, tomolyap, tomolyap.cli\n"
+        "assert tomolyap.cli.main(['standard-map', '--gamma', '1', '--hbar', '1', '--n', '20',\n"
+        f"                          '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(tomolyap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "standard_map_result.json").exists()

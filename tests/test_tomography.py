@@ -154,6 +154,68 @@ def test_gaussian_density_parameter_validation():
         GaussianDensity(correlation=1.0)
 
 
+@pytest.mark.parametrize("field", ["mean_q", "mean_p", "sigma_q", "sigma_p", "correlation"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gaussian_density_rejects_non_finite(field, bad):
+    with pytest.raises(ValidationError):
+        GaussianDensity(**{field: bad})
+
+
+@pytest.mark.parametrize("hbar", [np.nan, np.inf])
+def test_wave_function_rejects_non_finite_hbar(hbar):
+    psi = ground_state()
+    with pytest.raises(ValidationError):
+        WaveFunction(psi.y, psi.psi, hbar=hbar)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_wave_function_rejects_non_finite_samples(bad):
+    psi = ground_state()
+    samples = psi.psi.copy()
+    samples[samples.size // 2] = bad
+    with pytest.raises(ValidationError):
+        WaveFunction(psi.y, samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_wave_function_rejects_non_finite_grid(bad):
+    psi = ground_state()
+    y = psi.y.copy()
+    y[-1] = bad
+    with pytest.raises(ValidationError):
+        WaveFunction(y, psi.psi)
+
+
+def test_tomogram_rejects_non_finite_values_and_directions():
+    x = np.linspace(-5, 5, 64)
+    vals = np.exp(-(x**2) / 2) / np.sqrt(2 * np.pi)
+    for bad in (np.nan, np.inf):
+        broken = vals.copy()
+        broken[10] = bad
+        with pytest.raises(ValidationError):
+            Tomogram(x, broken, 1.0, 0.0)
+        with pytest.raises(InvalidDirectionError):
+            Tomogram(x, vals, bad, 0.0)
+        with pytest.raises(InvalidDirectionError):
+            Tomogram(x, vals, 1.0, -bad)
+
+
+def test_grid_density_rejects_non_finite_values():
+    q = np.linspace(-5, 5, 64)
+    vals = np.full((64, 64), 1.0 / (q[-1] - q[0]) ** 2)
+    vals[7, 9] = np.nan
+    with pytest.raises(ValidationError):
+        GridDensity(q, q, vals)
+
+
+@pytest.mark.parametrize("mu, nu", [(np.nan, 1.0), (1.0, np.inf), (-np.inf, 0.5)])
+def test_tomogram_builders_reject_non_finite_directions(mu, nu):
+    with pytest.raises(InvalidDirectionError):
+        forward_tomogram(GaussianDensity(), mu, nu)
+    with pytest.raises(InvalidDirectionError):
+        pure_state_tomogram(ground_state(), mu, nu)
+
+
 # ---------------------------------------------------------------------------
 # inverse map
 # ---------------------------------------------------------------------------
@@ -259,7 +321,7 @@ def test_pure_state_superposition_normalized():
     assert tom.values.min() >= -1e-12
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 5000, 5001])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 5000, 5001])
 def test_simpson_weights_match_scipy(n):
     y = np.linspace(-1.0, 2.0, n)
     f = np.exp(-y * y) * (1.0 + 0.3 * y) + 0.2j * np.cos(3.0 * y)
@@ -349,6 +411,22 @@ def test_mean_position_of_mixture():
     # interpolation is exact at the nodes
     tom = forward_tomogram(mixture, 1.0, 0.0, x_grid=q)
     assert abs(tomogram_mean_position(tom) - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_tomogram_moments_match_scipy_simpson(n):
+    # a profile that does not vanish at the ends, where quadrature rules differ
+    x = np.linspace(-1.0, 2.0, n)
+    w = np.exp(-x * x) * (1.0 + 0.3 * x) + 0.2
+    w /= simpson(w, dx=x[1] - x[0])
+    tom = Tomogram(x, w, 1.0, 0.0)
+    dx = tom.dx
+    mass = simpson(w, dx=dx)
+    mean = simpson(w * x, dx=dx) / mass
+    variance = simpson(w * (x - mean) ** 2, dx=dx) / mass
+    for got, want in ((tom.mass(), mass), (tom.mean(), mean), (tom.variance(), variance),
+                      (tomogram_mean_position(tom), simpson(w * x, dx=dx))):
+        assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_mean_position_requires_position_direction():
