@@ -41,9 +41,7 @@ from .standard_map import (
     classical_closed_form,
     classical_lyapunov,
     derivative_iteration,
-    init_gfield,
     run_standard_map,
-    step_period,
 )
 from .symbolic import SymbolicTerm, SymbolicTermSet, expand_terms, symbolic_expand
 from .tomography import (

@@ -71,8 +71,14 @@ def harmonic_kick_matrix(z: float, n: int) -> np.ndarray:
     return np.array([[1.0 + z * n, z * n * n], [-z, 1.0 - z * n]])
 
 
+def _require_finite_z(z: float) -> None:
+    if not np.isfinite(z):
+        raise ValidationError("z must be finite")
+
+
 def harmonic_kick_recurrence(z: float, n: int) -> EpsilonState:
     """Apply the kick recurrence n times to the free solution (a, b) = (1, i)."""
+    _require_finite_z(z)
     if n < 0:
         raise ValidationError("kick count must be nonnegative")
     vec = np.array([1.0 + 0.0j, 1.0j])
@@ -96,6 +102,7 @@ def harmonic_floquet_eigenvalues(z: float) -> tuple[complex, complex]:
 
 def harmonic_lyapunov(z: float) -> float:
     """ln(spectral radius) of the one-period map: zero on 0 <= z <= 4."""
+    _require_finite_z(z)
     if 0.0 <= z <= 4.0:
         return 0.0
     lam0, lam1 = harmonic_floquet_eigenvalues(z)
@@ -115,6 +122,7 @@ def harmonic_derivative_series(z: float, n_periods: int, v1: float = 1.0,
     sampled just after each kick.  Feeding this into the exponent estimator
     recovers `harmonic_lyapunov(z)` in the hyperbolic regime.
     """
+    _require_finite_z(z)
     if n_periods < 1:
         raise ValidationError("need at least one period")
     g2 = np.empty(n_periods + 1, dtype=complex)

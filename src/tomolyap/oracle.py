@@ -46,8 +46,13 @@ class KickedMapSpec:
             raise ValidationError(f"unknown map family: {self.family}")
         if self.family == "cat_map" and self.variant is None:
             raise ValidationError("cat_map spec needs a variant")
+        for name in ("gamma", "tau", "z"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if len(self.initial) != self.dim:
             raise ValidationError(f"initial point must have {self.dim} components")
+        if not np.all(np.isfinite(self.initial)):
+            raise ValidationError(f"initial point {self.initial} must be finite")
         flow = None
         if self.family == "cat_map":
             # parameter transport is the inverse flow, so the trajectory map

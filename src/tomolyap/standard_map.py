@@ -23,15 +23,30 @@ Exactness and cost
 ------------------
 The lattice is sized to contain the full backward dependency cone of the
 probe cells over the whole run, so there is no truncation error; any access
-outside the guaranteed cone raises instead of silently truncating.  There is
-one lattice, float64 in split mode and complex128 in direct mode, with
-(2J + 1)(2K + 1) = O(n^3) cells (`lattice_extents`).  Each period is swept in
-place, row by row, over the per-row column hull of the backward cone only,
-keeping three rows of scratch; a table of those hulls is built once.  Time
-is proportional to the cone's cell count, O(n^4): 2.75e8 cells for the probe
-pair at n = 200.  `GField.lattice_bytes` is the whole allocation (lattice,
-row buffers, hull table) and is what the memory budget is checked against;
-at n = 200 in split mode it is about 133 MB.
+outside the guaranteed cone raises instead of silently truncating.  The field
+is point-symmetric at every time, in both modes and at every base point:
+
+    G(-j, -k) = -conj G(j, k).
+
+The initial data has this symmetry; free flight G[j, k] <- G[j, k + j]
+commutes with the reflection (j, k) -> (-j, -k); the kick coefficient
+(gamma/2) f(k tau) is real and odd in k, so the kick keeps it; and in split
+mode the carried phased-linear part is real and odd, so the real deviation
+is odd.  The backward cone of the probe pair is point-symmetric too.  So only
+rows j >= 0 are stored and swept, and rows j < 0 are read through the
+identity.  Rounding is symmetric under negation and conjugation, and
+f(-k tau) evaluates to exactly -f(k tau), so the stored half holds, bit for
+bit, what a sweep of the whole lattice would hold.
+
+There is one lattice, float64 in split mode and complex128 in direct mode,
+with (J + 1)(2K + 1) = O(n^3) cells (`lattice_extents`).  Each period is
+swept in place, row by row, over the per-row column hull of the backward cone
+only, keeping three rows of scratch; a table of those hulls is built once.
+Time is proportional to the swept half of the cone, O(n^4): about half of
+the 2.75e8 cells of the probe pair's cone at n = 200.  `GField.lattice_bytes`
+is the whole allocation (lattice, row buffers, hull table) and is what the
+memory budget is checked against; at n = 200 in split mode it is about
+68 MB (133 MB for the whole lattice).
 
 The evolution is linear, and phased-linear fields
 
@@ -148,11 +163,19 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int, K: int) -> np.ndarray
 class GField:
     """Perturbation symbol on the shear lattice, advanced period by period.
 
-    Use `init_gfield` / `step_period` for the functional interface or
-    `advance()` to step in place (long runs).  `value(j, k)` returns
-    G(mu=j, nu=k tau) at the current time; after the first step only the
-    declared probe window (|j| <= keep_j, |k| <= keep_k) is guaranteed by the
-    cone bookkeeping and anything else raises `ConeError`.
+    A fresh field holds the data (v1 mu + v2 nu) exp(i(q0 mu + p0 nu)) at
+    t = 0; the overall scale of G drops out of the exponent (a log-ratio), so
+    the constant prefactor of the dipole perturbation is dropped.  `advance()`
+    steps it one period in place; `copy()` gives an independent field.
+    `value(j, k)` returns G(mu=j, nu=k tau) at the current time; after the
+    first step only the declared probe window (|j| <= keep_j, |k| <= keep_k)
+    is guaranteed by the cone bookkeeping and anything else raises
+    `ConeError`.
+
+    Only rows j = 0..J are stored.  Rows j < 0 are read through the symmetry
+    G(-j, -k) = -conj G(j, k), which the initial data has and which free
+    flight, the real odd kick coefficient and, in split mode, the real odd
+    carried part all preserve (see the module docstring).
     """
 
     def __init__(self, params: StandardMapParams, n_max: int,
@@ -179,8 +202,8 @@ class GField:
 
         # the split deviation stays real: carried part, kick and source are real
         dtype = np.dtype(float if self.split else complex)
-        rows, cols = 2 * self.J + 1, 2 * self.K + 1
-        table_bytes = self.n_max * 4 * rows * np.dtype(np.int32).itemsize
+        rows, cols = self.J + 1, 2 * self.K + 1
+        table_bytes = self.n_max * 4 * (2 * self.J + 1) * np.dtype(np.int32).itemsize
         self._lattice_bytes = (rows + 3) * cols * dtype.itemsize + table_bytes
         if self._lattice_bytes > max_bytes:
             raise ResourceError(
@@ -203,10 +226,10 @@ class GField:
             self._m0 = self._mb = 0
             self.c_mu = self.c_nu = 0.0 + 0.0j
             self._dev = np.empty((rows, cols), dtype=dtype)
-            for r, j in enumerate(range(-self.J, self.J + 1)):
+            for j in range(rows):
                 phase = np.exp(1j * (params.q0 * j + params.p0 * params.tau * self._k))
                 np.multiply(params.v1 * j + params.v2 * params.tau * self._k, phase,
-                            out=self._dev[r])
+                            out=self._dev[j])
 
     @property
     def lattice_bytes(self) -> int:
@@ -241,7 +264,9 @@ class GField:
         carried = self._carried_value(j, k)
         if self._dev is None:
             return carried
-        return carried + complex(self._dev[self.J + j, self.K + k])
+        if j >= 0:
+            return carried + complex(self._dev[j, self.K + k])
+        return carried - complex(self._dev[-j, self.K - k]).conjugate()
 
     def probe_pair(self) -> tuple[complex, complex]:
         """The two derivative-iteration probes G(1, tau) and G(-1, -tau)."""
@@ -258,8 +283,8 @@ class GField:
             sign = np.where((par_t * j[:, None] + self._mb * k[None, :]) % 2, -1.0, 1.0)
             out = (self.c_mu * j[:, None] + self.c_nu * self.params.tau * k[None, :]) * sign
         if self._dev is not None:
-            out = out + self._dev[self.J - jmax : self.J + jmax + 1,
-                                  self.K - kmax : self.K + kmax + 1]
+            half = self._dev[: jmax + 1, self.K - kmax : self.K + kmax + 1]
+            out = out + np.concatenate([-half[:0:-1, ::-1].conj(), half])
         return out
 
     # -- evolution -------------------------------------------------------------
@@ -267,28 +292,36 @@ class GField:
     def _sweep(self, t: int, source: np.ndarray | None, flip_odd_rows: bool) -> None:
         """Free flight and kick of period t, in place, over the backward cone.
 
-        Rows go in ascending order.  Row j's pre-kick values (old row j read
-        at k + j) are copied to `pre` before row j is overwritten; the row
-        below, already overwritten, is read from its copy `below`, and the
-        row above is still old and is read in place at k + j + 1.
+        Rows j = 0..J go in ascending order.  Row j's pre-kick values (old
+        row j read at k + j) are copied to `pre` before row j is overwritten;
+        the row below, already overwritten, is read from its copy `below`,
+        and the row above is still old and is read in place at k + j + 1.
+        Row 0's lower neighbour is pre-kick row -1, the mirror of old row 1:
+        pre_{-1}[k] = old[-1, k - 1] = -conj old[1, 1 - k].  It is copied into
+        `below` before the loop, while row 1 is still old.
         """
-        dev = self._dev
+        dev, J, K = self._dev, self.J, self.K
         pre, below, diff = (np.empty(dev.shape[1], dtype=dev.dtype) for _ in range(3))
         pre_lo, pre_hi, post_lo, post_hi = self._cone[t - 1].tolist()
-        below_lo = 0
-        for r in range(dev.shape[0]):
-            lo, hi = pre_lo[r], pre_hi[r]
+        # the hull table has rows j = -J..J; lattice column c holds k = c - K,
+        # so k -> 1 - k takes column c to 2K + 1 - c
+        below_lo, below_hi = pre_lo[J - 1], pre_hi[J - 1]
+        mirror = below[: below_hi - below_lo + 1]
+        np.negative(dev[1, 2 * K + 1 - below_hi : 2 * K + 2 - below_lo][::-1], out=mirror)
+        if not self.split:
+            np.conjugate(mirror, out=mirror)
+        for j in range(J + 1):
+            lo, hi = pre_lo[J + j], pre_hi[J + j]
             if lo > hi:
                 continue
-            j = r - self.J
-            np.copyto(pre[: hi - lo + 1], dev[r, lo + j : hi + j + 1])
-            a, b = post_lo[r], post_hi[r] + 1
+            np.copyto(pre[: hi - lo + 1], dev[j, lo + j : hi + j + 1])
+            a, b = post_lo[J + j], post_hi[J + j] + 1
             if a < b:
                 d = diff[: b - a]
-                np.subtract(dev[r + 1, a + j + 1 : b + j + 1],
+                np.subtract(dev[j + 1, a + j + 1 : b + j + 1],
                             below[a - below_lo : b - below_lo], out=d)
                 np.multiply(self._half_gamma_f[a:b], d, out=d)
-                out = dev[r, a:b]
+                out = dev[j, a:b]
                 np.add(pre[a - lo : b - lo], d, out=out)
                 if source is not None:
                     if flip_odd_rows and j % 2:
@@ -310,7 +343,7 @@ class GField:
         post_free_c_mu = self.c_mu + tau * self.c_nu if self.split else self.c_mu
         need_source = self.split and not params.classical and post_free_c_mu != 0.0
         if need_source and self._dev is None:
-            self._dev = np.zeros((2 * self.J + 1, 2 * self.K + 1), dtype=float)
+            self._dev = np.zeros((self.J + 1, 2 * self.K + 1), dtype=float)
         parity = self._kick_parity(t)
         sign = -1.0 if parity else 1.0
 
@@ -334,27 +367,6 @@ class GField:
         if self._dev is not None:
             clone._dev = self._dev.copy()
         return clone
-
-
-def init_gfield(params: StandardMapParams, n_max: int, keep: tuple[int, int] = (1, 1),
-                mode: str = "auto", max_bytes: int = DEFAULT_MAX_BYTES) -> GField:
-    """Fresh field at t = 0 with data (v1 mu + v2 nu) exp(i(q0 mu + p0 nu)).
-
-    The overall scale of G drops out of the exponent (a log-ratio), so the
-    constant prefactor of the dipole perturbation is dropped.
-    """
-    return GField(params, n_max, keep=keep, mode=mode, max_bytes=max_bytes)
-
-
-def step_period(field: GField) -> GField:
-    """One full period, functionally: returns an advanced copy.
-
-    Long runs should prefer `GField.advance` (in place); this copies the
-    deviation lattice, which for large n_max doubles peak memory.
-    """
-    out = field.copy()
-    out.advance()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +412,7 @@ def run_standard_map(params: StandardMapParams, n_max: int,
                      window: tuple[int, int] | None = None, mode: str = "auto",
                      max_bytes: int = DEFAULT_MAX_BYTES) -> tuple[DerivativeSeries, ExponentEstimate]:
     """Full pipeline: evolve the lattice, iterate derivatives, fit the rate."""
-    field = init_gfield(params, n_max, mode=mode, max_bytes=max_bytes)
+    field = GField(params, n_max, mode=mode, max_bytes=max_bytes)
     probes = np.empty((n_max + 1, 2), dtype=complex)
     probes[0] = field.probe_pair()
     for t in range(1, n_max + 1):

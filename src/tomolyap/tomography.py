@@ -467,7 +467,9 @@ def pure_state_tomogram(psi: WaveFunction, mu: float, nu: float, x_grid=None) ->
 
     evaluated by Simpson quadrature on the wave function's own grid.  The
     nu -> 0 limit collapses to the position marginal; use `forward_tomogram`
-    on a density built from |psi|^2 for that case.
+    on a density built from |psi|^2 for that case.  The grid must resolve the
+    chirp: a phase step |mu| max|y| dy / (|nu| hbar) above pi per sample
+    raises `ValidationError` instead of aliasing.
 
     Both grids are uniform, so the sum over the N samples y_b for all M
     points X_a is one chirp-z transform, computed by Bluestein's algorithm:
@@ -486,6 +488,14 @@ def pure_state_tomogram(psi: WaveFunction, mu: float, nu: float, x_grid=None) ->
         raise UnsupportedDirectionError(
             "nu = 0 reduces to the position marginal of |psi|^2; use forward_tomogram")
     hbar = psi.hbar
+    # the chirp exp(i mu y^2 / (2 nu hbar)) turns by mu y dy / (nu hbar) per
+    # sample; beyond pi the Simpson sum aliases
+    chirp_step = abs(mu) * np.max(np.abs(psi.y)) * psi.dy / (abs(nu) * hbar)
+    if chirp_step > np.pi:
+        raise ValidationError(
+            f"y grid [{psi.y[0]:g}, {psi.y[-1]:g}] with dy = {psi.dy:g} under-resolves the "
+            f"chirp at (mu, nu) = ({mu:g}, {nu:g}): its phase step {chirp_step:.3g} rad "
+            "per sample exceeds pi")
     my, vy = psi.position_moments()
     mp, vp = psi.momentum_moments()
     mean_x = mu * my + nu * mp

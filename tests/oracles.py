@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import jv
 
-from tomolyap.standard_map import StandardMapParams
+from tomolyap.standard_map import StandardMapParams, _cone_table, _pi_multiple, lattice_extents
 from tomolyap.tomography import GaussianDensity, WaveFunction
 
 
@@ -159,6 +159,90 @@ def brute_force_windows(gamma: float, hbar: float, tau: float, n_max: int,
     targets = [cell for row in cells for cell in row]
     lattices = _dictionary_lattice(gamma, hbar, tau, n_max, targets, v1, v2, q0, p0)
     return np.array([[[cur[cell] for cell in row] for row in cells] for cur in lattices])
+
+
+def full_lattice_probes(params: StandardMapParams, n_max: int, mode: str = "auto"):
+    """Probe rows (G(1, tau, t), G(-1, -tau, t)), t = 0..n_max, from a sweep
+    of the whole lattice, rows j = -J..J.
+
+    The engine's evolution as it was before it stored only rows j >= 0: the
+    same initial data, carried part, source and per-cell arithmetic in the
+    same order, with no use of the symmetry G(-j, -k) = -conj G(j, k).  The
+    half-lattice engine must reproduce it bit for bit.
+    """
+    J, K = lattice_extents(n_max)
+    rows, cols = 2 * J + 1, 2 * K + 1
+    gamma, tau = params.gamma, params.tau
+    m0, mb = _pi_multiple(params.q0), _pi_multiple(params.p0 * tau)
+    split = (m0 is not None and mb is not None) if mode == "auto" else mode == "split"
+    cone = _cone_table(n_max, (1, 1), J, K)
+    k_all = np.arange(-K, K + 1)
+    fcol = params.f(tau * k_all)
+    half_gamma_f = (gamma / 2.0) * fcol
+    if split:
+        c_mu, c_nu, dev = complex(params.v1), complex(params.v2), None
+    else:
+        m0 = mb = 0
+        c_mu = c_nu = 0.0 + 0.0j
+        dev = np.empty((rows, cols), dtype=complex)
+        for r, j in enumerate(range(-J, J + 1)):
+            phase = np.exp(1j * (params.q0 * j + params.p0 * tau * k_all))
+            np.multiply(params.v1 * j + params.v2 * tau * k_all, phase, out=dev[r])
+
+    def value(t, j, k):
+        carried = 0.0 + 0.0j
+        if split:
+            sign = -1.0 if ((((m0 + mb * t) % 2) * j + mb * k) % 2) else 1.0
+            carried = (c_mu * j + c_nu * k * tau) * sign
+        return carried if dev is None else carried + complex(dev[J + j, K + k])
+
+    def sweep(t, source, flip_odd_rows):
+        pre, below, diff = (np.empty(cols, dtype=dev.dtype) for _ in range(3))
+        pre_lo, pre_hi, post_lo, post_hi = cone[t - 1].tolist()
+        below_lo = 0
+        for r in range(rows):
+            lo, hi = pre_lo[r], pre_hi[r]
+            if lo > hi:
+                continue
+            j = r - J
+            np.copyto(pre[: hi - lo + 1], dev[r, lo + j : hi + j + 1])
+            a, b = post_lo[r], post_hi[r] + 1
+            if a < b:
+                d = diff[: b - a]
+                np.subtract(dev[r + 1, a + j + 1 : b + j + 1],
+                            below[a - below_lo : b - below_lo], out=d)
+                np.multiply(half_gamma_f[a:b], d, out=d)
+                out = dev[r, a:b]
+                np.add(pre[a - lo : b - lo], d, out=out)
+                if source is not None:
+                    if flip_odd_rows and j % 2:
+                        out -= source[a:b]
+                    else:
+                        out += source[a:b]
+            pre, below, below_lo = below, pre, lo
+
+    probes = np.empty((n_max + 1, 2), dtype=complex)
+    probes[0] = value(0, 1, 1), value(0, -1, -1)
+    for t in range(1, n_max + 1):
+        post_free_c_mu = c_mu + tau * c_nu if split else c_mu
+        need_source = split and not params.classical and post_free_c_mu != 0.0
+        if need_source and dev is None:
+            dev = np.zeros((rows, cols), dtype=float)
+        parity = (m0 + mb * t) % 2
+        sign = -1.0 if parity else 1.0
+        if dev is not None:
+            source = None
+            if need_source:
+                source = (sign * gamma * post_free_c_mu).real * fcol
+                if mb % 2:
+                    source = source * np.where(k_all % 2, -1.0, 1.0)
+            sweep(t, source, bool(parity))
+        if split:
+            c_mu = post_free_c_mu
+            if params.classical:
+                c_nu = c_nu + sign * gamma * post_free_c_mu
+        probes[t] = value(t, 1, 1), value(t, -1, -1)
+    return probes
 
 
 def _bessel_dictionary_lattice(gamma: float, hbar: float, tau: float, n_max: int,

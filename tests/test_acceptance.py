@@ -35,7 +35,7 @@ from tomolyap import (
     verify_quadratic_deformation_vanishes,
 )
 from tomolyap.floquet import build_cat_model
-from tomolyap.standard_map import init_gfield
+from tomolyap.standard_map import GField
 from oracles import floquet_probes, ground_state
 
 LAMBDA_GOLDEN = np.log((3.0 + np.sqrt(5.0)) / 2.0)
@@ -217,7 +217,7 @@ def test_acceptance_6_symbolic_oracle_equivalence():
     for gamma in (0.5, 1.0, 2.0):
         for hbar in (0.0, 1.0):
             params = StandardMapParams(gamma=gamma, hbar=hbar)
-            field = init_gfield(params, 8)
+            field = GField(params, 8)
             values = [field.value(1, 1)]
             for _ in range(8):
                 field.advance()

@@ -198,6 +198,18 @@ def test_non_finite_tomography_input_exits_3(tmp_path, capsys, flag, value):
     assert list(tmp_path.iterdir()) == []  # no record, so no NaN in one
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["oracle", "--gamma", "nan"], "gamma"),
+    (["oracle", "--map", "harmonic", "--z", "inf"], "z"),
+    (["harmonic", "--z", "nan"], "z"),
+])
+def test_non_finite_map_parameter_exits_3(tmp_path, capsys, argv, name):
+    assert run(argv + ["--out", str(tmp_path)]) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload == {"error": "ValidationError", "message": f"{name} must be finite"}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])

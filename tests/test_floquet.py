@@ -37,6 +37,17 @@ LAMBDA_H2 = 1.6180339887498953
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda z: harmonic_kick_recurrence(z, 3),
+    lambda z: harmonic_derivative_series(z, 3),
+    harmonic_lyapunov,
+], ids=["recurrence", "series", "lyapunov"])
+def test_harmonic_entry_points_reject_non_finite_z(entry, z):
+    with pytest.raises(ValidationError, match="z must be finite"):
+        entry(z)
+
+
 def test_recurrence_zero_kick_is_free_motion():
     state = harmonic_kick_recurrence(0.0, 9)
     assert state.a == 1.0 + 0.0j

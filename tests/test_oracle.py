@@ -119,6 +119,21 @@ def test_warmup_outside_run_rejected(warmup):
         tangent_map_lyapunov(KickedMapSpec.standard_map(1.0), 100, warmup=warmup)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: KickedMapSpec.standard_map(np.nan), "gamma"),
+    (lambda: KickedMapSpec.standard_map(1.0, tau=np.inf), "tau"),
+    (lambda: KickedMapSpec.standard_map(1.0, q0=np.nan), "initial"),
+    (lambda: KickedMapSpec.harmonic_kick(np.inf), "z"),
+    (lambda: KickedMapSpec.harmonic_kick(5.0, p0=-np.inf), "initial"),
+    (lambda: KickedMapSpec("standard_map", gamma=-np.inf), "gamma"),
+    (lambda: KickedMapSpec("harmonic_kick", z=np.nan), "z"),
+], ids=["standard-gamma", "standard-tau", "standard-q0", "harmonic-z", "harmonic-p0",
+        "spec-gamma", "spec-z"])
+def test_non_finite_spec_parameters_rejected(build, name):
+    with pytest.raises(ValidationError, match=name):
+        build()
+
+
 def test_cat_flow_built_once_and_read_only(monkeypatch):
     calls = []
     build = oracle.floquet_lambda

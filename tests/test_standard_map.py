@@ -5,22 +5,26 @@ import pytest
 
 from tomolyap import (
     ConeError,
+    GField,
     ResourceError,
     StandardMapParams,
     ValidationError,
     classical_closed_form,
     classical_lyapunov,
     derivative_iteration,
-    init_gfield,
     run_standard_map,
-    step_period,
 )
 from tomolyap.standard_map import (
     classical_closed_form_series,
     hbar_resonance,
     lattice_extents,
 )
-from oracles import brute_force_probes, brute_force_windows
+from oracles import (
+    _dictionary_lattice,
+    brute_force_probes,
+    brute_force_windows,
+    full_lattice_probes,
+)
 
 LAMBDA_GOLDEN = 0.9624236501192069
 QUANTUM_STEP1 = 4.917702154416812  # 3 + 4 sin(1/2)
@@ -45,20 +49,20 @@ def test_params_validation():
 
 
 def test_initial_values():
-    field = init_gfield(classical_params(), 4)
+    field = GField(classical_params(), 4)
     assert field.value(1, 1) == 2.0
     assert field.value(0, 0) == 0.0
     assert field.value(-1, -1) == -2.0
 
 
 def test_initial_values_pi_base_point():
-    field = init_gfield(classical_params(q0=np.pi), 4)
+    field = GField(classical_params(q0=np.pi), 4)
     assert abs(field.value(1, 1) - (-2.0)) < 1e-12
 
 
 def test_initial_values_direct_mode_generic_phase():
     params = classical_params(q0=0.7, p0=0.3)
-    field = init_gfield(params, 4)
+    field = GField(params, 4)
     assert not field.split
     expected = 2.0 * np.exp(1j * (0.7 + 0.3))
     assert abs(field.value(1, 1) - expected) < 1e-12
@@ -66,15 +70,15 @@ def test_initial_values_direct_mode_generic_phase():
 
 def test_memory_budget_enforced():
     with pytest.raises(ResourceError, match="float64"):
-        init_gfield(classical_params(), 200, max_bytes=10_000_000)
+        GField(classical_params(), 200, max_bytes=10_000_000)
     with pytest.raises(ResourceError, match="complex128"):
-        init_gfield(classical_params(q0=0.7), 200, max_bytes=10_000_000)
+        GField(classical_params(q0=0.7), 200, max_bytes=10_000_000)
 
 
 @pytest.mark.parametrize("mode", ["split", "direct"])
 def test_lattice_bytes_is_the_traced_peak(mode):
     params = StandardMapParams(gamma=1.0, hbar=1.0)
-    budget = init_gfield(params, 60, mode=mode).lattice_bytes
+    budget = GField(params, 60, mode=mode).lattice_bytes
     tracemalloc.start()
     try:
         run_standard_map(params, 60, mode=mode)
@@ -96,22 +100,25 @@ def test_lattice_extents_formula():
 
 
 def test_step_classical_probe():
-    field = init_gfield(classical_params(), 2)
-    stepped = step_period(field)
+    field = GField(classical_params(), 2)
+    stepped = field.copy()
+    stepped.advance()
     assert abs(stepped.value(1, 1) - 5.0) < 1e-12
-    assert field.t == 0  # functional step leaves the input untouched
+    assert field.t == 0  # stepping a copy leaves the input untouched
 
 
 def test_step_quantum_probe():
-    field = init_gfield(StandardMapParams(gamma=1.0, hbar=1.0), 2)
-    stepped = step_period(field)
+    field = GField(StandardMapParams(gamma=1.0, hbar=1.0), 2)
+    stepped = field.copy()
+    stepped.advance()
     assert abs(stepped.value(1, 1) - QUANTUM_STEP1) < 1e-12
 
 
 def test_step_zero_gamma_is_pure_shear():
     params = classical_params(gamma=0.0)
-    field = init_gfield(params, 3, keep=(2, 6), mode="direct")
-    stepped = step_period(field)
+    field = GField(params, 3, keep=(2, 6), mode="direct")
+    stepped = field.copy()
+    stepped.advance()
     window = stepped.dense_window(2, 6)
     j = np.arange(-2, 3)[:, None]
     k = np.arange(-6, 7)[None, :]
@@ -122,7 +129,7 @@ def test_split_and_direct_agree_classical():
     n = 25
     probes = {}
     for mode in ("split", "direct"):
-        field = init_gfield(classical_params(), n, mode=mode)
+        field = GField(classical_params(), n, mode=mode)
         vals = []
         for _ in range(n):
             field.advance()
@@ -136,7 +143,7 @@ def test_split_and_direct_agree_quantum():
     n = 25
     probes = {}
     for mode in ("split", "direct"):
-        field = init_gfield(StandardMapParams(gamma=1.0, hbar=1.0), n, mode=mode)
+        field = GField(StandardMapParams(gamma=1.0, hbar=1.0), n, mode=mode)
         vals = []
         for _ in range(n):
             field.advance()
@@ -153,7 +160,7 @@ def test_split_and_direct_agree_elliptic():
     n = 8
     probes = {}
     for mode in ("split", "direct"):
-        field = init_gfield(classical_params(q0=np.pi), n, mode=mode)
+        field = GField(classical_params(q0=np.pi), n, mode=mode)
         vals = []
         for _ in range(n):
             field.advance()
@@ -167,7 +174,7 @@ def test_split_and_direct_agree_elliptic():
 def test_engine_matches_brute_force(gamma, hbar):
     n = 8
     params = StandardMapParams(gamma=gamma, hbar=hbar)
-    field = init_gfield(params, n)
+    field = GField(params, n)
     got = [field.probe_pair()]
     for _ in range(n):
         field.advance()
@@ -181,7 +188,7 @@ def test_split_column_sign_source_matches_brute_force(q0):
     # p0 tau = pi puts a (-1)^k column sign on the quantum source term
     n = 12
     params = StandardMapParams(gamma=1.0, hbar=1.0, q0=q0, p0=np.pi)
-    field = init_gfield(params, n, mode="split")
+    field = GField(params, n, mode="split")
     got = [field.probe_pair()]
     for _ in range(n):
         field.advance()
@@ -201,7 +208,7 @@ def test_keep_window_matches_dictionary_lattice(keep, mode, q0, hbar):
     # sweep hull that misses one shows here even when the probes are right
     n = 10
     params = StandardMapParams(gamma=1.0, hbar=hbar, q0=q0)
-    field = init_gfield(params, n, keep=keep, mode=mode)
+    field = GField(params, n, keep=keep, mode=mode)
     expected = brute_force_windows(1.0, hbar, 1.0, n, keep, q0=q0)
     for t in range(n + 1):
         if t:
@@ -211,12 +218,56 @@ def test_keep_window_matches_dictionary_lattice(keep, mode, q0, hbar):
         assert np.max(np.abs(window - expected[t])) <= 1e-10 * scale, t
 
 
+def engine_probes(params, n, mode):
+    field = GField(params, n, mode=mode)
+    probes = np.empty((n + 1, 2), dtype=complex)
+    probes[0] = field.probe_pair()
+    for t in range(1, n + 1):
+        field.advance()
+        probes[t] = field.probe_pair()
+    return probes
+
+
+@pytest.mark.parametrize("mode", ["auto", "direct"])
+@pytest.mark.parametrize("p0", [0.0, np.pi, 0.4])
+@pytest.mark.parametrize("q0", [0.0, np.pi, 1.3])
+@pytest.mark.parametrize("hbar", [0.0, 0.7, 1.0])
+def test_half_lattice_equals_full_lattice(hbar, q0, p0, mode):
+    # rows j < 0 come from the mirror G(-j, -k) = -conj G(j, k); the full
+    # sweep computes them, so any lost bit shows as an inequality
+    params = StandardMapParams(gamma=1.0, hbar=hbar, q0=q0, p0=p0, v1=0.6, v2=-1.1)
+    assert np.array_equal(engine_probes(params, 30, mode), full_lattice_probes(params, 30, mode))
+
+
+@pytest.mark.parametrize("n, q0, split", [(200, 0.0, True), (140, 1.3, False)])
+def test_half_lattice_equals_full_lattice_at_benchmark_size(n, q0, split):
+    params = StandardMapParams(gamma=1.0, hbar=1.0, q0=q0)
+    assert GField(params, 1).split == split
+    assert np.array_equal(engine_probes(params, n, "auto"), full_lattice_probes(params, n))
+
+
+@pytest.mark.parametrize("hbar", [0.0, 1.0])
+def test_dictionary_lattice_is_point_symmetric(hbar):
+    # the symmetry the half-lattice engine rests on, checked on the plain
+    # recursion: every cell whose mirror is also evolved, at every time
+    keep = (2, 3)
+    targets = [(j, k) for j in range(-keep[0], keep[0] + 1)
+               for k in range(-keep[1], keep[1] + 1)]
+    lattices = _dictionary_lattice(1.0, hbar, 1.0, 10, targets, 0.6, -1.1, 0.4, 0.9)
+    for t, cur in enumerate(lattices):
+        cells = [cell for cell in cur if (-cell[0], -cell[1]) in cur]
+        assert len(cells) >= len(targets), t
+        got = np.array([cur[(-j, -k)] for j, k in cells])
+        expected = np.array([-np.conj(cur[cell]) for cell in cells])
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0, err_msg=f"t = {t}")
+
+
 def test_classical_linearity_preserved_direct_mode():
     # direct-mode stencil keeps linear data exactly linear (relative to the
     # field magnitude) over a window of rows and columns
     n = 20
     params = classical_params()
-    field = init_gfield(params, n, keep=(3, 30), mode="direct")
+    field = GField(params, n, keep=(3, 30), mode="direct")
     for _ in range(n):
         field.advance()
     window = field.dense_window(3, 30)
@@ -233,14 +284,14 @@ def test_classical_linearity_preserved_direct_mode():
 
 
 def test_probe_outside_window_raises():
-    field = init_gfield(classical_params(), 3)
+    field = GField(classical_params(), 3)
     field.advance()
     with pytest.raises(ConeError):
         field.value(2, 2)
 
 
 def test_advance_past_budget_raises():
-    field = init_gfield(classical_params(), 2)
+    field = GField(classical_params(), 2)
     field.advance()
     field.advance()
     with pytest.raises(ConeError):
@@ -248,7 +299,7 @@ def test_advance_past_budget_raises():
 
 
 def test_initial_time_allows_full_box():
-    field = init_gfield(classical_params(), 3)
+    field = GField(classical_params(), 3)
     assert field.value(3, 5) == 3.0 + 5.0
 
 
@@ -275,7 +326,7 @@ def test_derivative_first_step_classical():
 
 def test_derivative_first_step_quantum_matches_classical():
     params = StandardMapParams(gamma=1.0, hbar=1.0)
-    field = init_gfield(params, 1)
+    field = GField(params, 1)
     probes = np.array([field.probe_pair()])
     series = derivative_iteration(probes, params, n_max=0)
     # the deviation from the classical value appears only at t >= 2

@@ -1,11 +1,11 @@
 import pytest
 
 from tomolyap import (
+    GField,
     ResourceError,
     StandardMapParams,
     ValidationError,
     expand_terms,
-    init_gfield,
     symbolic_expand,
 )
 from tomolyap.symbolic import M0, M_MINUS, M_PLUS, X0, Y0
@@ -15,7 +15,7 @@ QUANTUM_STEP1 = 4.917702154416812  # 3 + 4 sin(1/2)
 
 
 def lattice_probe(params, n):
-    field = init_gfield(params, max(n, 1))
+    field = GField(params, max(n, 1))
     for _ in range(n):
         field.advance()
     return field.value(1, 1)

@@ -363,6 +363,19 @@ def test_pure_state_matches_phase_matrix_at_long_lags(theta):
     assert _phase_matrix_deviation(psi, theta) < 1e-10
 
 
+def test_pure_state_rejects_under_resolved_chirp():
+    # the long-lag state at the smallest nu of a 64-direction family: the
+    # chirp turns by 3.3 rad per sample, which the Simpson sum cannot resolve
+    y = np.arange(-20.0, 20.0 + 0.002, 0.004)
+    psi = np.exp(-((y - 0.5) ** 2) / 18.0 + 0.5j * y)
+    psi = WaveFunction(y, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * (y[1] - y[0])))
+    theta = np.pi / 128
+    with pytest.raises(ValidationError, match=r"y grid \[-20, 20\] with dy = 0.004.* 3.26 rad"):
+        pure_state_tomogram(psi, np.cos(theta), np.sin(theta))
+    # twice the angle halves the step, below pi
+    assert abs(pure_state_tomogram(psi, np.cos(2 * theta), np.sin(2 * theta)).mass() - 1) < 1e-4
+
+
 @pytest.mark.parametrize("x_grid", [1, (0.0, 1.0, 1)])
 def test_pure_state_rejects_single_point_x_grid(x_grid):
     with pytest.raises(ValidationError):
