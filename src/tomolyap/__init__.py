@@ -43,7 +43,7 @@ from .standard_map import (
     derivative_iteration,
     run_standard_map,
 )
-from .symbolic import SymbolicTerm, SymbolicTermSet, expand_terms, symbolic_expand
+from .symbolic import symbolic_expand
 from .tomography import (
     GaussianDensity,
     GridDensity,

@@ -4,6 +4,14 @@ Subcommands mirror the library modules:
 
     tomography | harmonic | cat | standard-map | oracle | compare
 
+One table, `COMMANDS`, declares each subcommand: its help line, the function
+that runs it, and its parameters with their defaults.  The flags, their types
+and choices (`CHOICES`), and the config-file checks are all generated from
+that entry.  A parameter's type is the type of its default: a config value of
+another type, or outside the choices, fails with `file:line`.  An integer is
+accepted for a float parameter and stored as a float; a boolean is never a
+number.
+
 Each run writes a JSON result record (input echo, library version, results)
 plus subcommand-specific CSV series into the output directory.  Parameters
 come from an optional key = value config file overridden by command-line
@@ -114,13 +122,13 @@ def write_series_csv(path: Path, series) -> None:
 def load_config(path: str | None) -> tuple[dict, dict]:
     """Parse a key = value file; JSON-style scalars, # comments allowed.
 
-    Returns the values (a repeated key keeps its last value) and the line
-    each key first appears on.
+    Returns the values (a repeated key keeps its last value) and, per key,
+    the lines it appears on.
     """
     values: dict = {}
-    first_line: dict = {}
+    lines_of: dict = {}
     if path is None:
-        return values, first_line
+        return values, lines_of
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -136,50 +144,58 @@ def load_config(path: str | None) -> tuple[dict, dict]:
         text = text.strip()
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        first_line.setdefault(key, lineno)
+        lines_of.setdefault(key, []).append(lineno)
         try:
             values[key] = json.loads(text)
         except json.JSONDecodeError:
             values[key] = text
-    return values, first_line
+    return values, lines_of
+
+
+KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def check_config_value(key: str, value, default, where: str):
+    """`value` as the type of `default`, within `CHOICES[key]`; else ConfigError."""
+    kind = type(default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{where}: {key} must be {KIND_NAMES[kind]}, got {value!r}")
+    if key in CHOICES and value not in CHOICES[key]:
+        raise ConfigError(f"{where}: {key} must be one of {', '.join(CHOICES[key])}, got {value!r}")
+    return kind(value)
 
 
 def merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """Flags override values from `--config` override defaults; unknown keys fail."""
-    config, first_line = load_config(args.config)
+    config, lines_of = load_config(args.config)
     unknown = set(config) - set(defaults)
     if unknown:
-        key = min(unknown, key=first_line.__getitem__)
-        raise ConfigError(f"{args.config}:{first_line[key]}: unknown key {key!r}")
+        key = min(unknown, key=lambda k: lines_of[k][0])
+        raise ConfigError(f"{args.config}:{lines_of[key][0]}: unknown key {key!r}")
     merged = {}
     for key, default in defaults.items():
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             merged[key] = flag
         elif key in config:
-            merged[key] = config[key]
+            merged[key] = check_config_value(key, config[key], default,
+                                             f"{args.config}:{lines_of[key][-1]}")
         else:
             merged[key] = default
     return merged
 
 
-def _base_record(kind: str, params: dict, seed) -> dict:
-    return {"kind": kind, "version": __version__, "seed": seed, "params": dict(params)}
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each fills `record`, writes its own CSVs into `out` and
+# returns the summary printed on success
 # ---------------------------------------------------------------------------
 
 
-def cmd_harmonic(args) -> int:
-    defaults = {"z": 5.0, "n": 200, "v1": 1.0, "v2": 1.0}
-    cfg = merge_config(args, defaults)
-    out = Path(args.out)
-    series = harmonic_derivative_series(cfg["z"], int(cfg["n"]), cfg["v1"], cfg["v2"])
+def run_harmonic(cfg: dict, record: dict, out: Path, args) -> str:
+    series = harmonic_derivative_series(cfg["z"], cfg["n"], cfg["v1"], cfg["v2"])
     estimate = estimate_exponent(series)
     eig = harmonic_floquet_eigenvalues(cfg["z"])
-    record = _base_record("harmonic", cfg, args.seed)
     record.update({
         "eigenvalues": [eig[0], eig[1]],
         "closed_form_lyapunov": harmonic_lyapunov(cfg["z"]),
@@ -188,48 +204,33 @@ def cmd_harmonic(args) -> int:
     if args.format in ("csv", "both"):
         write_series_csv(out / "harmonic_series.csv", series)
         record["series_file"] = "harmonic_series.csv"
-    write_json(out / "harmonic_result.json", record)
-    print(f"harmonic z={cfg['z']}: lyapunov={record['closed_form_lyapunov']:.6f} "
-          f"estimate={estimate.slope:.6f} ({estimate.classification})")
-    return 0
+    return (f"harmonic z={cfg['z']}: lyapunov={record['closed_form_lyapunov']:.6f} "
+            f"estimate={estimate.slope:.6f} ({estimate.classification})")
 
 
-def cmd_cat(args) -> int:
-    defaults = {"variant": "kick_only", "n_kicks": 1}
-    cfg = merge_config(args, defaults)
-    out = Path(args.out)
+def run_cat(cfg: dict, record: dict, out: Path, args) -> str:
     variant = CatVariant(cfg["variant"])
     model = build_cat_model(variant)
-    flo = floquet_lambda(model, int(cfg["n_kicks"]))
-    eigs = sorted(flo.eigenvalues(), key=lambda x: abs(x))
-    record = _base_record("cat", {"variant": variant.value, "n_kicks": int(cfg["n_kicks"])}, args.seed)
+    flo = floquet_lambda(model, cfg["n_kicks"])
     record.update({
         "floquet_matrix": flo.matrix,
-        "eigenvalues": list(eigs),
+        "eigenvalues": sorted(flo.eigenvalues(), key=abs),
         "lyapunov": cat_lyapunov(variant),
         "deformation_vanishes": verify_quadratic_deformation_vanishes(model),
     })
-    write_json(out / "cat_result.json", record)
-    print(f"cat {variant.value}: lyapunov={record['lyapunov']:.6f}")
-    return 0
+    return f"cat {variant.value}: lyapunov={record['lyapunov']:.6f}"
 
 
-def cmd_standard_map(args) -> int:
-    defaults = {"gamma": 1.0, "tau": 1.0, "hbar": 0.0, "q0": 0.0, "p0": 0.0,
-                "v1": 1.0, "v2": 1.0, "n": 60}
-    cfg = merge_config(args, defaults)
-    out = Path(args.out)
-    params = StandardMapParams(gamma=cfg["gamma"], tau=cfg["tau"], hbar=cfg["hbar"],
-                               q0=cfg["q0"], p0=cfg["p0"], v1=cfg["v1"], v2=cfg["v2"])
+def run_standard_map_cmd(cfg: dict, record: dict, out: Path, args) -> str:
+    params = StandardMapParams(**{k: v for k, v in cfg.items() if k != "n"})
     resonance = hbar_resonance(params)
     if resonance is not None:
         print(f"warning: hbar*tau/(4*pi) is within 1e-9 of {resonance[0]}/{resonance[1]}; "
               "the generic-kicking assumption fails at rational values", file=sys.stderr)
     if not params.classical:
         print(FIRST_ORDER_NOTE, file=sys.stderr)
-    series, estimate = run_standard_map(params, int(cfg["n"]))
+    series, estimate = run_standard_map(params, cfg["n"])
     running = running_estimate(series)
-    record = _base_record("standard_map", cfg, args.seed)
     record.update({
         "estimate": estimate.to_dict(),
         "running_estimate_final": {"t": int(running[-1, 0]), "value": float(running[-1, 1])},
@@ -242,48 +243,31 @@ def cmd_standard_map(args) -> int:
         write_csv(out / "standard_map_running.csv", ["t", "lambda_hat"],
                   [[int(t), float(v)] for t, v in running])
         record["series_file"] = "standard_map_series.csv"
-    write_json(out / "standard_map_result.json", record)
-    print(f"standard-map gamma={params.gamma} hbar={params.hbar}: "
-          f"estimate={estimate.slope:.6f} ({estimate.classification})")
-    return 0
+    return (f"standard-map gamma={params.gamma} hbar={params.hbar}: "
+            f"estimate={estimate.slope:.6f} ({estimate.classification})")
 
 
-def cmd_oracle(args) -> int:
-    defaults = {"map": "standard", "gamma": 1.0, "tau": 1.0, "z": 5.0,
-                "variant": "kick_only", "q0": 0.0, "p0": 0.0, "steps": 10000}
-    cfg = merge_config(args, defaults)
-    out = Path(args.out)
+def run_oracle(cfg: dict, record: dict, out: Path, args) -> str:
     if cfg["map"] == "standard":
         spec = KickedMapSpec.standard_map(cfg["gamma"], cfg["tau"], cfg["q0"], cfg["p0"])
         label = f"standard_map(gamma={cfg['gamma']}, tau={cfg['tau']})"
     elif cfg["map"] == "harmonic":
         spec = KickedMapSpec.harmonic_kick(cfg["z"], cfg["q0"], cfg["p0"])
         label = f"harmonic_kick(z={cfg['z']})"
-    elif cfg["map"] == "cat":
+    else:
         spec = KickedMapSpec.cat_map(CatVariant(cfg["variant"]))
         label = f"cat_map({cfg['variant']})"
-    else:
-        raise ConfigError(f"unknown oracle map {cfg['map']!r} (standard|harmonic|cat)")
-    lam = tangent_map_lyapunov(spec, int(cfg["steps"]))
-    record = _base_record("oracle", cfg, args.seed)
-    record.update({"lambda": lam})
+    lam = tangent_map_lyapunov(spec, cfg["steps"])
+    record["lambda"] = lam
     write_csv(out / "oracle_result.csv", ["spec", "n_steps", "lambda"],
-              [[label, int(cfg["steps"]), lam]])
-    write_json(out / "oracle_result.json", record)
-    print(f"oracle {label}: lambda={lam:.6f}")
-    return 0
+              [[label, cfg["steps"], lam]])
+    return f"oracle {label}: lambda={lam:.6f}"
 
 
-def cmd_tomography(args) -> int:
-    defaults = {"mean_q": 0.0, "mean_p": 0.0, "sigma_q": 1.0, "sigma_p": 1.0,
-                "correlation": 0.0, "mu": 1.0, "nu": 0.0, "x_points": 256,
-                "directions": 0, "homogeneity_samples": 0}
-    cfg = merge_config(args, defaults)
-    out = Path(args.out)
+def run_tomography(cfg: dict, record: dict, out: Path, args) -> str:
     density = GaussianDensity(cfg["mean_q"], cfg["mean_p"], cfg["sigma_q"],
                               cfg["sigma_p"], cfg["correlation"])
-    tomogram = forward_tomogram(density, cfg["mu"], cfg["nu"], x_grid=int(cfg["x_points"]))
-    record = _base_record("tomography", cfg, args.seed)
+    tomogram = forward_tomogram(density, cfg["mu"], cfg["nu"], x_grid=cfg["x_points"])
     record.update({
         "mass": tomogram.mass(),
         "mean": tomogram.mean(),
@@ -291,21 +275,20 @@ def cmd_tomography(args) -> int:
     })
     if cfg["mu"] == 1.0 and cfg["nu"] == 0.0:
         record["mean_position"] = tomogram_mean_position(tomogram)
-    if int(cfg["homogeneity_samples"]) > 0:
+    if cfg["homogeneity_samples"] > 0:
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         worst = 0.0
-        for _ in range(int(cfg["homogeneity_samples"])):
+        for _ in range(cfg["homogeneity_samples"]):
             scale = rng.uniform(0.1, 10.0)
             scaled = forward_tomogram(density, scale * cfg["mu"], scale * cfg["nu"],
                                       x_grid=scale * tomogram.x)
             worst = max(worst, float(np.max(np.abs(scaled.values * scale - tomogram.values))))
         record["homogeneity_max_defect"] = worst
-    if int(cfg["directions"]) > 0:
-        family = gaussian_tomogram_family(density, int(cfg["directions"]))
-        recon = inverse_tomogram(family)
+    if cfg["directions"] > 0:
+        recon = inverse_tomogram(gaussian_tomogram_family(density, cfg["directions"]))
         mq, mp = recon.moments()
         record["reconstruction"] = {
-            "directions": int(cfg["directions"]),
+            "directions": cfg["directions"],
             "mass": recon.mass(),
             "mean_q": mq,
             "mean_p": mp,
@@ -313,28 +296,20 @@ def cmd_tomography(args) -> int:
     if args.format in ("csv", "both"):
         tomogram.to_csv(out / "tomogram.csv", float_fmt=FLOAT_FMT)
         record["series_file"] = "tomogram.csv"
-    write_json(out / "tomography_result.json", record)
-    print(f"tomography (mu={cfg['mu']}, nu={cfg['nu']}): mean={record['mean']:.6f} "
-          f"mass={record['mass']:.6f}")
-    return 0
+    return (f"tomography (mu={cfg['mu']}, nu={cfg['nu']}): mean={record['mean']:.6f} "
+            f"mass={record['mass']:.6f}")
 
 
-def cmd_compare(args) -> int:
+def run_compare(cfg: dict, record: dict, out: Path, args) -> str:
     """Side-by-side exponents for the three systems sharing ln((3+sqrt5)/2)."""
-    defaults = {"z": 5.0, "gamma": 1.0, "n": 60, "oracle_steps": 10000}
-    cfg = merge_config(args, defaults)
-    out = Path(args.out)
-    n = int(cfg["n"])
-
+    n, steps = cfg["n"], cfg["oracle_steps"]
     rows = []
-    h_series = harmonic_derivative_series(cfg["z"], max(n, 200))
-    h_est = estimate_exponent(h_series)
+    h_est = estimate_exponent(harmonic_derivative_series(cfg["z"], max(n, 200)))
     rows.append({
         "system": f"harmonic_kick(z={cfg['z']})",
         "classical_lambda": h_est.slope,
         "quantum_lambda": h_est.slope,  # quadratic kick: same evolution law
-        "oracle_lambda": tangent_map_lyapunov(KickedMapSpec.harmonic_kick(cfg["z"]),
-                                              int(cfg["oracle_steps"])),
+        "oracle_lambda": tangent_map_lyapunov(KickedMapSpec.harmonic_kick(cfg["z"]), steps),
         "closed_form_lambda": harmonic_lyapunov(cfg["z"]),
     })
 
@@ -343,42 +318,59 @@ def cmd_compare(args) -> int:
         "system": "cat_map(kick_only)",
         "classical_lambda": cat,
         "quantum_lambda": cat,  # quadratic model: same evolution law
-        "oracle_lambda": tangent_map_lyapunov(KickedMapSpec.cat_map(CatVariant.KICK_ONLY),
-                                              int(cfg["oracle_steps"])),
+        "oracle_lambda": tangent_map_lyapunov(KickedMapSpec.cat_map(CatVariant.KICK_ONLY), steps),
         "closed_form_lambda": 2.0 * np.log((1.0 + np.sqrt(5.0)) / 2.0),
     })
 
-    cl_params = StandardMapParams(gamma=cfg["gamma"])
-    _, cl_est = run_standard_map(cl_params, n)
-    qu_params = StandardMapParams(gamma=cfg["gamma"], hbar=1.0)
+    _, cl_est = run_standard_map(StandardMapParams(gamma=cfg["gamma"]), n)
     print(FIRST_ORDER_NOTE, file=sys.stderr)
-    _, qu_est = run_standard_map(qu_params, n)
+    _, qu_est = run_standard_map(StandardMapParams(gamma=cfg["gamma"], hbar=1.0), n)
     rows.append({
         "system": f"standard_map(gamma={cfg['gamma']})",
         "classical_lambda": cl_est.slope,
         "quantum_lambda": qu_est.slope,
-        "oracle_lambda": tangent_map_lyapunov(KickedMapSpec.standard_map(cfg["gamma"]),
-                                              int(cfg["oracle_steps"])),
+        "oracle_lambda": tangent_map_lyapunov(KickedMapSpec.standard_map(cfg["gamma"]), steps),
         "closed_form_lambda": classical_lyapunov(cfg["gamma"]),
     })
 
-    record = _base_record("compare", cfg, args.seed)
     record["rows"] = rows
-    write_json(out / "compare_result.json", record)
-    write_csv(out / "compare.csv",
-              ["system", "classical_lambda", "quantum_lambda", "oracle_lambda", "closed_form_lambda"],
-              [[r["system"], r["classical_lambda"], r["quantum_lambda"],
-                r["oracle_lambda"], r["closed_form_lambda"]] for r in rows])
-    for r in rows:
-        print(f"{r['system']}: classical={r['classical_lambda']:.6f} "
-              f"quantum={r['quantum_lambda']:.6f} oracle={r['oracle_lambda']:.6f} "
-              f"closed_form={r['closed_form_lambda']:.6f}")
-    return 0
+    columns = ["system", "classical_lambda", "quantum_lambda", "oracle_lambda", "closed_form_lambda"]
+    write_csv(out / "compare.csv", columns, [[r[c] for c in columns] for r in rows])
+    return "\n".join(f"{r['system']}: classical={r['classical_lambda']:.6f} "
+                     f"quantum={r['quantum_lambda']:.6f} oracle={r['oracle_lambda']:.6f} "
+                     f"closed_form={r['closed_form_lambda']:.6f}" for r in rows)
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table and the parser generated from it
 # ---------------------------------------------------------------------------
+
+CHOICES = {
+    "variant": tuple(v.value for v in CatVariant),
+    "map": ("standard", "harmonic", "cat"),
+}
+
+# name: (help, run, {parameter: default}); a parameter's type is its default's
+COMMANDS = {
+    "harmonic": ("harmonically kicked particle on the line", run_harmonic,
+                 {"z": 5.0, "n": 200, "v1": 1.0, "v2": 1.0}),
+    "cat": ("configurational cat models", run_cat,
+            {"variant": "kick_only", "n_kicks": 1}),
+    "standard-map": ("kicked rotor lattice engine; hbar = 0 selects the classical kick",
+                     run_standard_map_cmd,
+                     {"gamma": 1.0, "tau": 1.0, "hbar": 0.0, "q0": 0.0, "p0": 0.0,
+                      "v1": 1.0, "v2": 1.0, "n": 60}),
+    "oracle": ("trajectory/tangent-map exponent", run_oracle,
+               {"map": "standard", "gamma": 1.0, "tau": 1.0, "z": 5.0,
+                "variant": "kick_only", "q0": 0.0, "p0": 0.0, "steps": 10000}),
+    "tomography": ("Gaussian forward/inverse tomography demo; directions > 0 also reconstructs",
+                   run_tomography,
+                   {"mean_q": 0.0, "mean_p": 0.0, "sigma_q": 1.0, "sigma_p": 1.0,
+                    "correlation": 0.0, "mu": 1.0, "nu": 0.0, "x_points": 256,
+                    "directions": 0, "homogeneity_samples": 0}),
+    "compare": ("cross-system exponent table", run_compare,
+                {"z": 5.0, "gamma": 1.0, "n": 60, "oracle_steps": 10000}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,93 +380,41 @@ def build_parser() -> argparse.ArgumentParser:
                     "via marginal-distribution (tomographic) dynamics.")
     parser.add_argument("--version", action="version", version=f"tomolyap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, _, params) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--out", default=".", help="output directory (created if missing)")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
         p.add_argument("--config", default=None, help="key = value config file; flags win")
-
-    p = sub.add_parser("harmonic", help="harmonically kicked particle on the line")
-    common(p)
-    p.add_argument("--z", type=float, default=None, help="kick strength (default 5)")
-    p.add_argument("--n", type=int, default=None, help="number of periods (default 200)")
-    p.add_argument("--v1", type=float, default=None)
-    p.add_argument("--v2", type=float, default=None)
-    p.set_defaults(func=cmd_harmonic)
-
-    p = sub.add_parser("cat", help="configurational cat models")
-    common(p)
-    p.add_argument("--variant", choices=[v.value for v in CatVariant], default=None)
-    p.add_argument("--n-kicks", dest="n_kicks", type=int, default=None)
-    p.set_defaults(func=cmd_cat)
-
-    p = sub.add_parser("standard-map", help="kicked rotor lattice engine")
-    common(p)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--hbar", type=float, default=None, help="0 selects the classical kick")
-    p.add_argument("--q0", type=float, default=None)
-    p.add_argument("--p0", type=float, default=None)
-    p.add_argument("--v1", type=float, default=None)
-    p.add_argument("--v2", type=float, default=None)
-    p.add_argument("--n", type=int, default=None, help="number of periods (default 60)")
-    p.set_defaults(func=cmd_standard_map)
-
-    p = sub.add_parser("oracle", help="trajectory/tangent-map exponent")
-    common(p)
-    p.add_argument("--map", choices=("standard", "harmonic", "cat"), default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--variant", choices=[v.value for v in CatVariant], default=None)
-    p.add_argument("--q0", type=float, default=None)
-    p.add_argument("--p0", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("tomography", help="Gaussian forward/inverse tomography demo")
-    common(p)
-    p.add_argument("--mean-q", dest="mean_q", type=float, default=None)
-    p.add_argument("--mean-p", dest="mean_p", type=float, default=None)
-    p.add_argument("--sigma-q", dest="sigma_q", type=float, default=None)
-    p.add_argument("--sigma-p", dest="sigma_p", type=float, default=None)
-    p.add_argument("--correlation", type=float, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
-    p.add_argument("--x-points", dest="x_points", type=int, default=None)
-    p.add_argument("--directions", type=int, default=None,
-                   help="when positive, also reconstruct from this many angles")
-    p.add_argument("--homogeneity-samples", dest="homogeneity_samples", type=int, default=None)
-    p.set_defaults(func=cmd_tomography)
-
-    p = sub.add_parser("compare", help="cross-system exponent table")
-    common(p)
-    p.add_argument("--z", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--oracle-steps", dest="oracle_steps", type=int, default=None)
-    p.set_defaults(func=cmd_compare)
-
+        for key, default in params.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                           choices=CHOICES.get(key), default=None, help=f"default {default}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return 3
+    kind = args.command.replace("-", "_")
+    _, run, defaults = COMMANDS[args.command]
     try:
-        return args.func(args)
+        cfg = merge_config(args, defaults)
+        record = {"kind": kind, "version": __version__, "seed": args.seed, "params": dict(cfg)}
+        summary = run(cfg, record, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TomolyapError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
+    write_json(out / f"{kind}_result.json", record)
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -44,9 +44,10 @@ swept in place, row by row, over the per-row column hull of the backward cone
 only, keeping three rows of scratch; a table of those hulls is built once.
 Time is proportional to the swept half of the cone, O(n^4): about half of
 the 2.75e8 cells of the probe pair's cone at n = 200.  `GField.lattice_bytes`
-is the whole allocation (lattice, row buffers, hull table) and is what the
-memory budget is checked against; at n = 200 in split mode it is about
-68 MB (133 MB for the whole lattice).
+is the whole allocation (lattice, row buffers, hull table, four column
+vectors) and is what the memory budget is checked against; at n = 200 in
+split mode it is about 70 MB (133 MB for the whole lattice), within 0.2 % of
+the traced peak.
 
 The evolution is linear, and phased-linear fields
 
@@ -204,12 +205,13 @@ class GField:
         dtype = np.dtype(float if self.split else complex)
         rows, cols = self.J + 1, 2 * self.K + 1
         table_bytes = self.n_max * 4 * (2 * self.J + 1) * np.dtype(np.int32).itemsize
-        self._lattice_bytes = (rows + 3) * cols * dtype.itemsize + table_bytes
+        vector_bytes = 4 * cols * np.dtype(float).itemsize
+        self._lattice_bytes = (rows + 3) * cols * dtype.itemsize + table_bytes + vector_bytes
         if self._lattice_bytes > max_bytes:
             raise ResourceError(
-                f"lattice of {rows} x {cols} {dtype} cells with three row buffers and "
-                f"the cone table needs {self._lattice_bytes} bytes, exceeding the "
-                f"budget of {max_bytes}")
+                f"lattice of {rows} x {cols} {dtype} cells with three row buffers, four "
+                f"column vectors and the cone table needs {self._lattice_bytes} bytes, "
+                f"exceeding the budget of {max_bytes}")
         self._cone = _cone_table(self.n_max, self.keep, self.J, self.K)
 
         self._k = np.arange(-self.K, self.K + 1)
@@ -233,7 +235,12 @@ class GField:
 
     @property
     def lattice_bytes(self) -> int:
-        """Bytes the evolution allocates at most: lattice, row buffers, cone table."""
+        """Bytes the evolution allocates at most.
+
+        The lattice, its three row buffers, the cone table, and four
+        (2K + 1)-vectors of 8-byte entries: the columns `_k`, `_fcol` and
+        `_half_gamma_f`, and one period's kick source.
+        """
         return self._lattice_bytes
 
     # -- carried phased-linear part -----------------------------------------

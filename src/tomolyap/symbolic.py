@@ -16,8 +16,8 @@ Every quantity read is a column sum of W, Tr(W e_i) = (1^T W)_i, and
 1^T (W M) = (1^T W) M, so `symbolic_expand` carries only the row vector 1^T W
 (3 integers per word) and multiplies it by the branch matrices: the
 f-argument is its middle entry and the end point its first two.  The
-integers are exact, so this equals the full matrix bookkeeping, which
-`expand_terms` keeps for its inspectable term set.
+integers are exact, so this equals the full matrix bookkeeping, which the
+tests keep as their reference for n <= 12.
 
 The minus-branch matrix used here keeps the sign of the accumulated constant
 (last row (-1, -1, +1)); this is forced by agreement with the lattice engine,
@@ -28,8 +28,6 @@ integers); the per-word budget is 3^n terms, capped at n = 12.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,53 +78,3 @@ def symbolic_expand(params: StandardMapParams, n: int) -> complex:
         sums = np.concatenate([sums @ M0, sums @ M_PLUS, sums @ M_MINUS])
         coeff = np.concatenate([coeff, coeff * weight, -coeff * weight])
     return complex(np.dot(coeff, params.v1 * sums[:, 0] + params.v2 * sums[:, 1]))
-
-
-@dataclass(frozen=True)
-class SymbolicTerm:
-    """One expansion word: sign (gamma/2)^k weight, f-argument list, end vector."""
-
-    coefficient: float
-    f_args: tuple[int, ...]
-    vector: tuple[int, int, int]
-
-    def evaluate(self, params: StandardMapParams) -> float:
-        value = self.coefficient
-        for arg in self.f_args:
-            value *= float(params.f(float(arg)))
-        return value * sum(self.vector)
-
-
-@dataclass(frozen=True)
-class SymbolicTermSet:
-    """Fully expanded word collection for n periods (3^n terms).
-
-    The per-term affine vectors encode the unit perturbation direction
-    v1 = v2 = 1 (the x0 bookkeeping); use `symbolic_expand` for general
-    directions.
-    """
-
-    n: int
-    terms: tuple[SymbolicTerm, ...]
-
-    def evaluate(self, params: StandardMapParams) -> float:
-        return sum(term.evaluate(params) for term in self.terms)
-
-
-def expand_terms(params: StandardMapParams, n: int) -> SymbolicTermSet:
-    """Materialized term set; slower than `symbolic_expand` but inspectable."""
-    _check_expansion_inputs(params, n)
-    half_gamma = 0.5 * params.gamma
-    terms: list[tuple[float, tuple[int, ...], np.ndarray]] = [(1.0, (), np.eye(3, dtype=np.int64))]
-    for _ in range(n):
-        nxt = []
-        for sign_weight, f_args, word in terms:
-            f_arg = int(word[:, 1].sum())
-            nxt.append((sign_weight, f_args, word @ M0))
-            nxt.append((sign_weight * half_gamma, f_args + (f_arg,), word @ M_PLUS))
-            nxt.append((-sign_weight * half_gamma, f_args + (f_arg,), word @ M_MINUS))
-        terms = nxt
-    packed = tuple(
-        SymbolicTerm(coefficient, f_args, tuple(int(v) for v in word @ X0))
-        for coefficient, f_args, word in terms)
-    return SymbolicTermSet(n, packed)

@@ -585,15 +585,20 @@ def _ramp_kernel(n: int, dx: float) -> np.ndarray:
     return h
 
 
-def _filtered_backprojection(tomograms: Sequence[Tomogram], q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Shared reconstruction core; returns values normalized to unit mass.
+def _filtered_backprojection(tomograms: Sequence[Tomogram], q_grid, p_grid
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared reconstruction core: the (q, p) grids and values of unit mass.
 
-    Per direction: convolve the marginal with the band-limited ramp filter
-    (computed as a linear convolution on a zero-extended grid so the filtered
-    tails cover every back-projection point), then accumulate along
-    X0 = q cos t + p sin t with linear interpolation.
+    Both grids default to the X window of the family.  Per direction:
+    convolve the marginal with the band-limited ramp filter (computed as a
+    linear convolution on a zero-extended grid so the filtered tails cover
+    every back-projection point), then accumulate along X0 = q cos t + p sin t
+    with linear interpolation.
     """
     x, thetas, ws = _validate_family(tomograms)
+    center, half_width = 0.5 * float(x[0] + x[-1]), 0.5 * float(x[-1] - x[0])
+    q = resolve_grid(q_grid, center, half_width, x.size)
+    p = resolve_grid(p_grid, center, half_width, x.size)
     n = x.size
     dx = x[1] - x[0]
     # extend so that |X0| <= max radius of the output grid is always covered
@@ -615,7 +620,7 @@ def _filtered_backprojection(tomograms: Sequence[Tomogram], q: np.ndarray, p: np
         filtered = np.real(np.fft.ifft(np.fft.fft(we, nfft) * kernel_f))[ne : 2 * ne] * dx
         x0 = qq * np.cos(th) + pp * np.sin(th)
         out += np.interp(x0, xe, filtered, left=0.0, right=0.0)
-    return out * dtheta
+    return q, p, out * dtheta
 
 
 def inverse_tomogram(tomograms: Sequence[Tomogram], q_grid=None, p_grid=None) -> GridDensity:
@@ -625,10 +630,7 @@ def inverse_tomogram(tomograms: Sequence[Tomogram], q_grid=None, p_grid=None) ->
     clamped to zero; anything larger indicates inadequate sampling and raises.
     The result is normalized within 1e-2 by quadrature accuracy.
     """
-    x = tomograms[0].x
-    q = resolve_grid(q_grid, 0.5 * float(x[0] + x[-1]), 0.5 * float(x[-1] - x[0]), x.size)
-    p = resolve_grid(p_grid, 0.5 * float(x[0] + x[-1]), 0.5 * float(x[-1] - x[0]), x.size)
-    values = _filtered_backprojection(tomograms, q, p)
+    q, p, values = _filtered_backprojection(tomograms, q_grid, p_grid)
     peak = float(values.max())
     if peak <= 0:
         raise ValidationError("reconstruction produced no positive values")
@@ -642,10 +644,7 @@ def wigner_from_tomogram(tomograms: Sequence[Tomogram], q_grid=None, p_grid=None
     """Reconstruct the Wigner function; numerically identical pipeline to
     `inverse_tomogram` but negative values are kept (Wigner functions may be
     negative) and the output is normalized to unit mass within 1e-2."""
-    x = tomograms[0].x
-    q = resolve_grid(q_grid, 0.5 * float(x[0] + x[-1]), 0.5 * float(x[-1] - x[0]), x.size)
-    p = resolve_grid(p_grid, 0.5 * float(x[0] + x[-1]), 0.5 * float(x[-1] - x[0]), x.size)
-    values = _filtered_backprojection(tomograms, q, p)
+    q, p, values = _filtered_backprojection(tomograms, q_grid, p_grid)
     return WignerGrid(q, p, values, norm_tol=1e-2)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import tomolyap
-from tomolyap.cli import main
+from tomolyap.cli import build_parser, main
 
 LAMBDA_GOLDEN = 0.9624236501192069
 
@@ -117,18 +118,28 @@ def test_reports_are_byte_identical(tmp_path):
     assert (a / "harmonic_series.csv").read_bytes() == (b / "harmonic_series.csv").read_bytes()
 
 
+ECHO_RUNS = [
+    ["harmonic", "--z", "8", "--n", "48", "--v2", "0.5"],
+    ["cat", "--variant", "h2", "--n-kicks", "2"],
+    ["standard-map", "--gamma", "1.5", "--hbar", "0.5", "--v1", "0.25", "--n", "20"],
+    ["oracle", "--map", "harmonic", "--z", "3.5", "--q0", "0.25", "--steps", "500"],
+    ["tomography", "--mean-q", "0.5", "--sigma-p", "2", "--mu", "0.6", "--nu", "0.8",
+     "--x-points", "64", "--homogeneity-samples", "2"],
+    ["compare", "--z", "4", "--n", "20", "--oracle-steps", "500"],
+]
+
+
 def test_record_echo_round_trips_as_config(tmp_path):
-    first = tmp_path / "first"
-    assert run(["harmonic", "--z", "8", "--n", "48", "--seed", "3",
-                "--out", str(first)]) == 0
-    record = json.loads((first / "harmonic_result.json").read_text())
-    cfg = tmp_path / "echo.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in record["params"].items()))
-    second = tmp_path / "second"
-    assert run(["harmonic", "--config", str(cfg), "--seed", "3",
-                "--out", str(second)]) == 0
-    assert ((first / "harmonic_result.json").read_bytes()
-            == (second / "harmonic_result.json").read_bytes())
+    for argv in ECHO_RUNS:
+        command = argv[0]
+        first, second = tmp_path / command / "first", tmp_path / command / "second"
+        assert run(argv + ["--seed", "3", "--out", str(first)]) == 0
+        result = f"{command.replace('-', '_')}_result.json"
+        record = json.loads((first / result).read_text())
+        cfg = tmp_path / command / "echo.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in record["params"].items()))
+        assert run([command, "--config", str(cfg), "--seed", "3", "--out", str(second)]) == 0
+        assert (first / result).read_bytes() == (second / result).read_bytes(), command
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +182,42 @@ def test_unknown_config_key_reports_first_line_of_first_unknown(tmp_path, capsys
     assert not (tmp_path / "harmonic_result.json").exists()
 
 
+@pytest.mark.parametrize("command, line, key", [
+    ("cat", 'variant = "foo"', "variant"),
+    ("harmonic", 'n = "abc"', "n"),
+    ("harmonic", 'z = "abc"', "z"),
+    ("harmonic", "n = 64.7", "n"),
+    ("standard-map", "gamma = true", "gamma"),
+    ("oracle", 'map = "foo"', "map"),
+    ("oracle", "steps = 1e4", "steps"),
+])
+def test_bad_config_value_exits_2(tmp_path, capsys, command, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# checked against the parameter's type and choices\n{line}\n")
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: {key} must be ")
+    assert list(out.iterdir()) == []
+
+
+def test_integer_config_value_for_float_key_echoes_as_float(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("z = 8\n")
+    by_config, by_flag = tmp_path / "config", tmp_path / "flag"
+    assert run(["harmonic", "--config", str(cfg), "--n", "32", "--out", str(by_config)]) == 0
+    assert run(["harmonic", "--z", "8", "--n", "32", "--out", str(by_flag)]) == 0
+    record = (by_config / "harmonic_result.json").read_bytes()
+    assert b'"z": 8.0' in record
+    assert record == (by_flag / "harmonic_result.json").read_bytes()
+
+
+def test_repeated_config_key_is_checked_at_its_last_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 32\nz = 5.0\nn = 3.5\n")
+    assert run(["harmonic", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"{cfg}:3: n must be an integer" in capsys.readouterr().err
+
+
 def test_malformed_config_line_fails(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("just words\n")
@@ -208,6 +255,27 @@ def test_non_finite_map_parameter_exits_3(tmp_path, capsys, argv, name):
     payload = json.loads(capsys.readouterr().err)
     assert payload == {"error": "ValidationError", "message": f"{name} must be finite"}
     assert list(tmp_path.iterdir()) == []
+
+
+# the public flags of each subcommand: dropping or renaming one breaks existing scripts
+SUBCOMMAND_FLAGS = {
+    "harmonic": ["--z", "--n", "--v1", "--v2"],
+    "cat": ["--variant", "--n-kicks"],
+    "standard-map": ["--gamma", "--tau", "--hbar", "--q0", "--p0", "--v1", "--v2", "--n"],
+    "oracle": ["--map", "--gamma", "--tau", "--z", "--variant", "--q0", "--p0", "--steps"],
+    "tomography": ["--mean-q", "--mean-p", "--sigma-q", "--sigma-p", "--correlation", "--mu",
+                   "--nu", "--x-points", "--directions", "--homogeneity-samples"],
+    "compare": ["--z", "--gamma", "--n", "--oracle-steps"],
+}
+
+
+def test_subcommand_flags():
+    parser = build_parser()
+    [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(SUBCOMMAND_FLAGS)
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        options = [s for a in subparsers.choices[name]._actions for s in a.option_strings]
+        assert options == ["-h", "--help", "--out", "--format", "--seed", "--config"] + flags, name
 
 
 def test_bad_subcommand_exits_2():

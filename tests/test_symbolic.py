@@ -5,7 +5,6 @@ from tomolyap import (
     ResourceError,
     StandardMapParams,
     ValidationError,
-    expand_terms,
     symbolic_expand,
 )
 from tomolyap.symbolic import M0, M_MINUS, M_PLUS, X0, Y0
@@ -42,19 +41,6 @@ def test_single_period_classical():
 def test_single_period_quantum():
     value = symbolic_expand(StandardMapParams(gamma=1.0, hbar=1.0), 1)
     assert abs(value - QUANTUM_STEP1) < 1e-12
-
-
-def test_term_count_is_power_of_three():
-    params = StandardMapParams(gamma=1.0, hbar=1.0)
-    for n in (0, 1, 3, 5):
-        assert len(expand_terms(params, n).terms) == 3**n
-
-
-def test_term_set_evaluation_matches_vectorized():
-    for hbar in (0.0, 1.0):
-        params = StandardMapParams(gamma=0.8, hbar=hbar)
-        term_value = expand_terms(params, 5).evaluate(params)
-        assert abs(term_value - symbolic_expand(params, 5).real) < 1e-10
 
 
 @pytest.mark.parametrize("hbar", [0.0, 1.0])
