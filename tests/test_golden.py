@@ -7,7 +7,11 @@ that alters artifacts on purpose regenerates the copies with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says which cases changed, and why, in CHANGES.md.
+and says which cases changed, and why, in CHANGES.md.  Naming cases, as in
+
+    PYTHONPATH=src python tests/test_golden.py oracle_cat compare
+
+regenerates only those.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ CASES = {
                                   "--q0", "0.7", "--n", "24"],
     "standard_map_nan": ["standard-map", "--gamma", "nan", "--n", "16"],
     "oracle_cat": ["oracle", "--map", "cat", "--steps", "2000"],
+    "oracle_standard_chaotic": ["oracle", "--map", "standard", "--q0", "0.7", "--p0", "0.2",
+                                "--steps", "5000"],
+    "oracle_harmonic_overflow": ["oracle", "--map", "harmonic", "--z", "5", "--q0", "0.1",
+                                 "--steps", "2000"],
+    "oracle_cat_h2": ["oracle", "--map", "cat", "--variant", "h2", "--steps", "3000"],
     "tomography": ["tomography", "--directions", "32", "--mean-q", "0.3", "--correlation", "0.2",
                    "--homogeneity-samples", "3", "--seed", "5", "--mu", "0.6", "--nu", "0.8"],
     "compare": ["compare", "--n", "20", "--oracle-steps", "2000"],
@@ -58,11 +67,11 @@ def test_cli_output_is_byte_identical_to_golden(case, tmp_path):
         assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), f"{case}/{name}"
 
 
-def regenerate() -> None:
-    shutil.rmtree(GOLDEN, ignore_errors=True)
-    for case, argv in CASES.items():
-        run_case(argv, GOLDEN / case)
+def regenerate(cases: list[str]) -> None:
+    for case in cases or CASES:
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        run_case(CASES[case], GOLDEN / case)
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.exit(regenerate(sys.argv[1:]))
