@@ -45,5 +45,10 @@ class DerivativeSeries:
         return np.arange(len(self))
 
     def norms(self) -> np.ndarray:
-        """Euclidean norm of the complex pair at each time."""
-        return np.sqrt(np.abs(self.g2) ** 2 + np.abs(self.g3) ** 2)
+        """Euclidean norm of the complex pair at each time.
+
+        Past about 1e154 the squares overflow and the norm is inf, without a
+        warning; the estimator rejects a non-finite norm in its window.
+        """
+        with np.errstate(over="ignore"):
+            return np.sqrt(np.abs(self.g2) ** 2 + np.abs(self.g3) ** 2)

@@ -41,13 +41,14 @@ bit, what a sweep of the whole lattice would hold.
 There is one lattice, float64 in split mode and complex128 in direct mode,
 with (J + 1)(2K + 1) = O(n^3) cells (`lattice_extents`).  Each period is
 swept in place, row by row, over the per-row column hull of the backward cone
-only, keeping three rows of scratch; a table of those hulls is built once.
+only, keeping three rows of scratch; a table of those hulls, for the rows
+j >= -1 the sweep reads, is built once.
 Time is proportional to the swept half of the cone, O(n^4): about half of
 the 2.75e8 cells of the probe pair's cone at n = 200.  `GField.lattice_bytes`
 is the whole allocation (lattice, row buffers, hull table, four column
 vectors) and is what the memory budget is checked against; at n = 200 in
-split mode it is about 70 MB (133 MB for the whole lattice), within 0.2 % of
-the traced peak.
+split mode it is about 69 MB (136 MB in direct mode), within 0.2 % of the
+traced peak.
 
 The evolution is linear, and phased-linear fields
 
@@ -66,12 +67,13 @@ gamma = 1); the split representation exists precisely to avoid that.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConeError, ResourceError, ValidationError
+from .errors import ConeError, NumericalError, ResourceError, ValidationError
 from .estimator import ExponentEstimate, estimate_exponent
 from .series import DerivativeSeries
 
@@ -140,12 +142,14 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int, K: int) -> np.ndarray
     for an empty row.  Built backward from period n_max: the keep window is
     read after every period; a post-kick cell needs the pre-kick cells of its
     own row and of the two neighbouring rows; free flight moves pre-kick
-    (j, k) of period t to post-kick (j, k + j) of period t - 1.
+    (j, k) of period t to post-kick (j, k + j) of period t - 1.  The build
+    runs over all rows -J..J, but the sweep of the stored half reads only
+    rows j >= -1, so only those are kept, row j at index j + 1.
     """
     rows, cols = 2 * J + 1, 2 * K + 1
     j = np.arange(-J, J + 1)
     in_keep = np.abs(j) <= keep[0]
-    table = np.empty((n_max, 4, rows), dtype=np.int32)
+    table = np.empty((n_max, 4, J + 2), dtype=np.int32)
     lo, hi = np.full(rows, cols), np.full(rows, -1)
     for t in range(n_max, 0, -1):
         lo[in_keep] = np.minimum(lo[in_keep], K - keep[1])
@@ -154,7 +158,7 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int, K: int) -> np.ndarray
         hi_pad = np.pad(hi, 1, constant_values=-1)
         pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo_pad[1:-1]), lo_pad[2:])
         pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi_pad[1:-1]), hi_pad[2:])
-        table[t - 1] = pre_lo, pre_hi, lo, hi
+        table[t - 1] = pre_lo[J - 1 :], pre_hi[J - 1 :], lo[J - 1 :], hi[J - 1 :]
         filled = pre_lo <= pre_hi
         lo = np.where(filled, pre_lo + j, cols)
         hi = np.where(filled, pre_hi + j, -1)
@@ -204,7 +208,7 @@ class GField:
         # the split deviation stays real: carried part, kick and source are real
         dtype = np.dtype(float if self.split else complex)
         rows, cols = self.J + 1, 2 * self.K + 1
-        table_bytes = self.n_max * 4 * (2 * self.J + 1) * np.dtype(np.int32).itemsize
+        table_bytes = self.n_max * 4 * (self.J + 2) * np.dtype(np.int32).itemsize
         vector_bytes = 4 * cols * np.dtype(float).itemsize
         self._lattice_bytes = (rows + 3) * cols * dtype.itemsize + table_bytes + vector_bytes
         if self._lattice_bytes > max_bytes:
@@ -310,19 +314,19 @@ class GField:
         dev, J, K = self._dev, self.J, self.K
         pre, below, diff = (np.empty(dev.shape[1], dtype=dev.dtype) for _ in range(3))
         pre_lo, pre_hi, post_lo, post_hi = self._cone[t - 1].tolist()
-        # the hull table has rows j = -J..J; lattice column c holds k = c - K,
-        # so k -> 1 - k takes column c to 2K + 1 - c
-        below_lo, below_hi = pre_lo[J - 1], pre_hi[J - 1]
+        # the hull table has rows j = -1..J at index j + 1; lattice column c
+        # holds k = c - K, so k -> 1 - k takes column c to 2K + 1 - c
+        below_lo, below_hi = pre_lo[0], pre_hi[0]
         mirror = below[: below_hi - below_lo + 1]
         np.negative(dev[1, 2 * K + 1 - below_hi : 2 * K + 2 - below_lo][::-1], out=mirror)
         if not self.split:
             np.conjugate(mirror, out=mirror)
         for j in range(J + 1):
-            lo, hi = pre_lo[J + j], pre_hi[J + j]
+            lo, hi = pre_lo[j + 1], pre_hi[j + 1]
             if lo > hi:
                 continue
             np.copyto(pre[: hi - lo + 1], dev[j, lo + j : hi + j + 1])
-            a, b = post_lo[J + j], post_hi[J + j] + 1
+            a, b = post_lo[j + 1], post_hi[j + 1] + 1
             if a < b:
                 d = diff[: b - a]
                 np.subtract(dev[j + 1, a + j + 1 : b + j + 1],
@@ -360,7 +364,9 @@ class GField:
                 source = (sign * gamma * post_free_c_mu).real * self._fcol
                 if self._mb % 2:
                     source = source * np.where(self._k % 2, -1.0, 1.0)
-            self._sweep(t, source, flip_odd_rows=bool(parity))
+            # overflow is caught through the probes (`run_standard_map`)
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._sweep(t, source, flip_odd_rows=bool(parity))
 
         if self.split:
             self.c_mu = post_free_c_mu
@@ -418,13 +424,20 @@ def derivative_iteration(probes: np.ndarray, params: StandardMapParams,
 def run_standard_map(params: StandardMapParams, n_max: int,
                      window: tuple[int, int] | None = None, mode: str = "auto",
                      max_bytes: int = DEFAULT_MAX_BYTES) -> tuple[DerivativeSeries, ExponentEstimate]:
-    """Full pipeline: evolve the lattice, iterate derivatives, fit the rate."""
+    """Full pipeline: evolve the lattice, iterate derivatives, fit the rate.
+
+    Raises `NumericalError` at the first period whose probes overflow; a
+    derivative norm that overflows inside the fit window raises
+    `DegenerateSeriesError` in the estimator.
+    """
     field = GField(params, n_max, mode=mode, max_bytes=max_bytes)
     probes = np.empty((n_max + 1, 2), dtype=complex)
     probes[0] = field.probe_pair()
     for t in range(1, n_max + 1):
         field.advance()
-        probes[t] = field.probe_pair()
+        probes[t] = pair = field.probe_pair()
+        if not (cmath.isfinite(pair[0]) and cmath.isfinite(pair[1])):
+            raise NumericalError(f"lattice probes left the finite range at period {t}")
     series = derivative_iteration(probes, params, n_max)
     return series, estimate_exponent(series, window=window)
 

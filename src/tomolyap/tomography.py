@@ -24,16 +24,20 @@ Conventions
 Default grids: 256 X points spanning 8 pooled standard deviations on either
 side of the mean, and 64 projection angles; both overridable per call.
 
-Cost: a Gaussian tomogram integrates 2001 line points per X, swept in blocks
-of `GAUSSIAN_BLOCK_ROWS` X rows so the temporaries stay small.  A pure-state
+Cost: a Gaussian tomogram integrates 2001 line points per X, and a gridded
+density one point per half grid step across its diagonal; both sweep blocks
+of `LINE_BLOCK_ROWS` X rows so the temporaries stay small.  A pure-state
 tomogram is one chirp-z transform of the N wave-function samples onto the M
 X points, computed by Bluestein's algorithm with one zero-padded FFT
 convolution: O((N + M) log(N + M)) rather than N M complex exponentials.
 
-Imports: the line quadratures load `scipy.integrate.simpson` (and, for
-gridded densities, `scipy.interpolate.RegularGridInterpolator`) on their first
-call, so importing this module loads numpy only.  Tomogram moments and
-pure-state tomograms use `_simpson_weights`, the same rule as a weight vector.
+Imports: numpy only.  The line quadratures use `_simpson_rows`, which for
+an odd number of points (every internal caller's) is scipy's composite
+Simpson expression and bit for bit `scipy.integrate.simpson`; gridded
+densities are read by `GridDensity.pdf`, a bilinear interpolation that
+agrees with scipy's `RegularGridInterpolator` to roundoff.  Tomogram moments
+and pure-state tomograms use `_simpson_weights`, the same rule as a weight
+vector.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ DEFAULT_X_POINTS = 256
 DEFAULT_DIRECTIONS = 64
 SUPPORT_SIGMAS = 8.0
 
-#: X rows per block of the Gaussian line quadrature (256 KB temporaries at
-#: the default 2001 line points).
-GAUSSIAN_BLOCK_ROWS = 16
+#: X rows per block of the line quadratures (256 KB temporaries at the
+#: default 2001 Gaussian line points).
+LINE_BLOCK_ROWS = 16
 
 #: Allowance for quadrature jitter when validating nonnegative data.
 NEGATIVITY_JITTER = 1e-12
@@ -197,6 +201,28 @@ class GridDensity:
 
     def mass(self) -> float:
         return float(self.values.sum() * self.dq * self.dp)
+
+    def pdf(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Bilinear interpolation of the samples at broadcastable q, p arrays.
+
+        Points on the grid's edges interpolate; points beyond them, or not
+        finite, give 0.  The cell index comes from the uniform step and the
+        weights from the cell's own end points, as
+        `scipy.interpolate.RegularGridInterpolator` forms them.
+        """
+        q, p = np.broadcast_arrays(np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+        inside = (q >= self.q[0]) & (q <= self.q[-1]) & (p >= self.p[0]) & (p <= self.p[-1])
+        # points outside are evaluated at the first node, then masked
+        q = np.where(inside, q, self.q[0])
+        p = np.where(inside, p, self.p[0])
+        i = np.minimum(((q - self.q[0]) / self.dq).astype(np.intp), self.q.size - 2)
+        j = np.minimum(((p - self.p[0]) / self.dp).astype(np.intp), self.p.size - 2)
+        tq = (q - self.q[i]) / (self.q[i + 1] - self.q[i])
+        tp = (p - self.p[j]) / (self.p[j + 1] - self.p[j])
+        v = self.values
+        out = ((v[i, j] * (1.0 - tq) + v[i + 1, j] * tq) * (1.0 - tp)
+               + (v[i, j + 1] * (1.0 - tq) + v[i + 1, j + 1] * tq) * tp)
+        return np.where(inside, out, 0.0)
 
     def moments(self) -> tuple[float, float]:
         mq = float((self.values * self.q[:, None]).sum() * self.dq * self.dp)
@@ -362,36 +388,54 @@ class Tomogram:
 # ---------------------------------------------------------------------------
 
 
+def _simpson_rows(y: np.ndarray, dx: float) -> np.ndarray:
+    """Simpson's rule along the last axis of `y`, for samples `dx` apart.
+
+    Odd n is the composite rule written as `scipy.integrate.simpson` writes
+    it, so the sums are bit for bit scipy's; even n applies
+    `_simpson_weights`, which agrees with scipy to roundoff.
+    """
+    n = y.shape[-1]
+    if n % 2 == 0:
+        return y @ _simpson_weights(n, dx)
+    out = np.sum(y[..., 0 : n - 2 : 2] + 4.0 * y[..., 1 : n - 1 : 2] + y[..., 2:n:2], axis=-1)
+    out *= dx / 3.0
+    return out
+
+
+def _line_quadrature(pdf, xhat: np.ndarray, mu_u: float, nu_u: float, s: np.ndarray) -> np.ndarray:
+    """Simpson integrals of `pdf(q, p)` along the lines mu_u q + nu_u p = xhat.
+
+    Arc-length parametrization for a unit direction: base point
+    X (mu_u, nu_u), tangent (-nu_u, mu_u), sampled at the uniform `s`.
+    Simpson acts on each X row alone, so a block of `LINE_BLOCK_ROWS` rows at
+    a time gives the same values as one full array, with temporaries that
+    stay in cache.
+    """
+    ds = s[1] - s[0]
+    s_q = s[None, :] * (-nu_u)
+    s_p = s[None, :] * mu_u
+    out = np.empty(xhat.size)
+    for start in range(0, xhat.size, LINE_BLOCK_ROWS):
+        xb = xhat[start : start + LINE_BLOCK_ROWS, None]
+        out[start : start + LINE_BLOCK_ROWS] = _simpson_rows(pdf(xb * mu_u + s_q, xb * nu_u + s_p), ds)
+    return out
+
+
 def _line_quadrature_gaussian(density: GaussianDensity, xhat: np.ndarray, mu_u: float, nu_u: float,
                               n_line: int) -> np.ndarray:
-    from scipy.integrate import simpson
-
-    # Arc-length parametrization of the line mu_u q + nu_u p = X for a unit
-    # direction: base point X*(mu_u, nu_u), tangent (-nu_u, mu_u).
+    # n_line points over 10 standard deviations of the density along the line
     tangent = np.array([-nu_u, mu_u])
     var_t = float(tangent @ density.covariance() @ tangent)
     s_center = float((np.array([density.mean_q, density.mean_p]) @ tangent))
     half = 10.0 * np.sqrt(var_t)
     s = np.linspace(s_center - half, s_center + half, n_line)
-    ds = s[1] - s[0]
-    s_q = s[None, :] * (-nu_u)
-    s_p = s[None, :] * mu_u
-    out = np.empty(xhat.size)
-    # Simpson acts on each X row alone, so a block of rows at a time gives
-    # the same values with temporaries that stay in cache
-    for start in range(0, xhat.size, GAUSSIAN_BLOCK_ROWS):
-        xb = xhat[start : start + GAUSSIAN_BLOCK_ROWS, None]
-        vals = density.pdf(xb * mu_u + s_q, xb * nu_u + s_p)
-        out[start : start + GAUSSIAN_BLOCK_ROWS] = simpson(vals, dx=ds, axis=1)
-    return out
+    return _line_quadrature(density.pdf, xhat, mu_u, nu_u, s)
 
 
 def _line_quadrature_grid(density: GridDensity, xhat: np.ndarray, mu_u: float, nu_u: float) -> np.ndarray:
-    from scipy.integrate import simpson
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator((density.q, density.p), density.values,
-                                     bounds_error=False, fill_value=0.0)
+    # an odd number of points, half a grid step apart, over the grid's
+    # diagonal plus two steps
     half = 0.5 * np.hypot(density.q[-1] - density.q[0], density.p[-1] - density.p[0])
     center = np.array([0.5 * (density.q[0] + density.q[-1]), 0.5 * (density.p[0] + density.p[-1])])
     tangent = np.array([-nu_u, mu_u])
@@ -400,11 +444,7 @@ def _line_quadrature_grid(density: GridDensity, xhat: np.ndarray, mu_u: float, n
     half += 2.0 * max(density.dq, density.dp)
     n_line = 2 * int(np.ceil(half / ds)) + 1
     s = np.linspace(s_center - half, s_center + half, n_line)
-    q = xhat[:, None] * mu_u + s[None, :] * (-nu_u)
-    p = xhat[:, None] * nu_u + s[None, :] * mu_u
-    pts = np.stack([q.ravel(), p.ravel()], axis=-1)
-    vals = interp(pts).reshape(q.shape)
-    return simpson(vals, dx=s[1] - s[0], axis=1)
+    return _line_quadrature(density.pdf, xhat, mu_u, nu_u, s)
 
 
 def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,

@@ -15,8 +15,47 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import jv
 
-from tomolyap.standard_map import StandardMapParams, _cone_table, _pi_multiple, lattice_extents
+from tomolyap.errors import NumericalError, ValidationError
+from tomolyap.oracle import KickedMapSpec
+from tomolyap.standard_map import StandardMapParams, _pi_multiple, lattice_extents
 from tomolyap.tomography import GaussianDensity, WaveFunction
+
+
+def tangent_map_lyapunov_by_steps(spec: KickedMapSpec, n_steps: int, v=None,
+                                   warmup: int | None = None) -> float:
+    """Tangent-map exponent from numpy 2-/4-vectors and `spec.step`/`spec.jacobian`.
+
+    The oracle's loop as it was before each family got a scalar loop: the
+    Jacobian is built as a matrix every step, the vector is advanced by a
+    matrix product and renormalized by `np.linalg.norm`, and the state by
+    `spec.step`.  Same checks, in the same order, with the same messages.
+    """
+    if warmup is None:
+        warmup = n_steps // 10
+    if not 0 <= warmup < n_steps:
+        raise ValidationError(f"warmup must lie in [0, {n_steps}), got {warmup}")
+    if v is None:
+        v = np.zeros(spec.dim)
+        v[0] = 1.0
+    v = np.asarray(v, dtype=float)
+    v = v / np.linalg.norm(v)
+    state = np.asarray(spec.initial, dtype=float)
+    total = 0.0
+    counted = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            v = spec.jacobian(state) @ v
+            stretch = np.linalg.norm(v)
+            if not np.isfinite(stretch) or stretch == 0.0:
+                raise NumericalError(f"tangent vector degenerated at step {step}")
+            v /= stretch
+            state = spec.step(state)
+            if not np.all(np.isfinite(state)):
+                raise NumericalError(f"trajectory left the finite domain at step {step}")
+            if step >= warmup:
+                total += np.log(stretch)
+                counted += 1
+    return total / counted
 
 
 def gaussian_tomogram_values(x, mu, nu, density: GaussianDensity):
@@ -161,6 +200,27 @@ def brute_force_windows(gamma: float, hbar: float, tau: float, n_max: int,
     return np.array([[[cur[cell] for cell in row] for row in cells] for cur in lattices])
 
 
+def _full_cone_table(n_max: int, keep: tuple[int, int], J: int, K: int) -> np.ndarray:
+    """The engine's hull table with all rows j = -J..J, row j at index j + J."""
+    rows, cols = 2 * J + 1, 2 * K + 1
+    j = np.arange(-J, J + 1)
+    in_keep = np.abs(j) <= keep[0]
+    table = np.empty((n_max, 4, rows), dtype=np.int32)
+    lo, hi = np.full(rows, cols), np.full(rows, -1)
+    for t in range(n_max, 0, -1):
+        lo[in_keep] = np.minimum(lo[in_keep], K - keep[1])
+        hi[in_keep] = np.maximum(hi[in_keep], K + keep[1])
+        lo_pad = np.pad(lo, 1, constant_values=cols)
+        hi_pad = np.pad(hi, 1, constant_values=-1)
+        pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo_pad[1:-1]), lo_pad[2:])
+        pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi_pad[1:-1]), hi_pad[2:])
+        table[t - 1] = pre_lo, pre_hi, lo, hi
+        filled = pre_lo <= pre_hi
+        lo = np.where(filled, pre_lo + j, cols)
+        hi = np.where(filled, pre_hi + j, -1)
+    return table
+
+
 def full_lattice_probes(params: StandardMapParams, n_max: int, mode: str = "auto"):
     """Probe rows (G(1, tau, t), G(-1, -tau, t)), t = 0..n_max, from a sweep
     of the whole lattice, rows j = -J..J.
@@ -175,7 +235,7 @@ def full_lattice_probes(params: StandardMapParams, n_max: int, mode: str = "auto
     gamma, tau = params.gamma, params.tau
     m0, mb = _pi_multiple(params.q0), _pi_multiple(params.p0 * tau)
     split = (m0 is not None and mb is not None) if mode == "auto" else mode == "split"
-    cone = _cone_table(n_max, (1, 1), J, K)
+    cone = _full_cone_table(n_max, (1, 1), J, K)
     k_all = np.arange(-K, K + 1)
     fcol = params.f(tau * k_all)
     half_gamma_f = (gamma / 2.0) * fcol

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -257,6 +258,23 @@ def test_non_finite_map_parameter_exits_3(tmp_path, capsys, argv, name):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n, error, message", [
+    ("120", "NumericalError", "lattice probes left the finite range at period 113"),
+    ("90", "DegenerateSeriesError", "non-finite norm inside the fit window"),
+])
+def test_overflowing_lattice_exits_3_without_warnings(tmp_path, capsys, n, error, message):
+    # the classical lattice at a generic base point overflows; numpy must not
+    # warn on the way to the typed error
+    argv = ["standard-map", "--gamma", "1", "--hbar", "0", "--q0", "0.7", "--n", n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error, "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
 # the public flags of each subcommand: dropping or renaming one breaks existing scripts
 SUBCOMMAND_FLAGS = {
     "harmonic": ["--z", "--n", "--v1", "--v2"],
@@ -292,9 +310,22 @@ def test_bad_subcommand_exits_2():
 def test_import_and_standard_map_run_load_no_scipy(tmp_path):
     # a fresh interpreter: this test process has imported scipy already
     code = (
-        "import sys, tomolyap, tomolyap.cli\n"
+        "import sys, numpy as np, tomolyap, tomolyap.cli\n"
+        "from tomolyap import (GaussianDensity, GridDensity, KickedMapSpec, forward_tomogram,\n"
+        "                      gaussian_tomogram_family, inverse_tomogram,\n"
+        "                      tangent_map_lyapunov, wigner_from_tomogram)\n"
         "assert tomolyap.cli.main(['standard-map', '--gamma', '1', '--hbar', '1', '--n', '20',\n"
         f"                          '--out', {str(tmp_path)!r}]) == 0\n"
+        "tangent_map_lyapunov(KickedMapSpec.standard_map(1.0, q0=0.7), 200)\n"
+        "tangent_map_lyapunov(KickedMapSpec.harmonic_kick(5.0), 200)\n"
+        "density = GaussianDensity(mean_q=0.3, correlation=0.2)\n"
+        "forward_tomogram(density, 0.6, 0.8)\n"
+        "family = gaussian_tomogram_family(density, 32)\n"
+        "inverse_tomogram(family)\n"
+        "wigner_from_tomogram(family)\n"
+        "q = np.linspace(-8.0, 8.0, 161)\n"
+        "grid = GridDensity(q, q, density.pdf(q[:, None], q[None, :]), norm_tol=1e-4)\n"
+        "forward_tomogram(grid, 0.6, 0.8)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(tomolyap.__file__).resolve().parents[1])

@@ -35,6 +35,8 @@ CASES = {
     "standard_map_classical_q0": ["standard-map", "--gamma", "1", "--hbar", "0",
                                   "--q0", "0.7", "--n", "24"],
     "standard_map_nan": ["standard-map", "--gamma", "nan", "--n", "16"],
+    "standard_map_classical_overflow": ["standard-map", "--gamma", "1", "--hbar", "0",
+                                        "--q0", "0.7", "--n", "120"],
     "oracle_cat": ["oracle", "--map", "cat", "--steps", "2000"],
     "oracle_standard_chaotic": ["oracle", "--map", "standard", "--q0", "0.7", "--p0", "0.2",
                                 "--steps", "5000"],

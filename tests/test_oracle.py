@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomolyap.oracle as oracle
+from oracles import tangent_map_lyapunov_by_steps
 from tomolyap import (
     CatVariant,
     KickedMapSpec,
@@ -101,6 +102,74 @@ def test_overflowing_trajectory_raises():
     spec = KickedMapSpec.harmonic_kick(1e8, q0=1.0)
     with pytest.raises(NumericalError):
         tangent_map_lyapunov(spec, 1_000)
+
+
+# ---------------------------------------------------------------------------
+# scalar loops against the numpy step loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", [
+    KickedMapSpec.standard_map(1.0),
+    KickedMapSpec.standard_map(1.0, q0=np.pi),
+    KickedMapSpec.standard_map(1.0, tau=0.5),
+    KickedMapSpec.harmonic_kick(5.0),
+    KickedMapSpec.cat_map(CatVariant.H2),
+    KickedMapSpec.cat_map(CatVariant.KICK_ONLY),
+], ids=["standard-0", "standard-pi", "standard-tau0.5", "harmonic", "cat-h2", "cat-kick-only"])
+@pytest.mark.parametrize("n", [2_000, 10_000])
+def test_scalar_loops_equal_step_loop_at_fixed_points(spec, n):
+    assert tangent_map_lyapunov(spec, n) == tangent_map_lyapunov_by_steps(spec, n)
+
+
+@pytest.mark.parametrize("n", [1_000, 2_000, 10_000])
+def test_cat_h1_loop_within_roundoff_of_step_loop(n):
+    # the h1 stretch keeps changing, so the fused multiply-adds of numpy's
+    # norm leave last-bit differences that do not cancel
+    spec = KickedMapSpec.cat_map(CatVariant.H1)
+    lam, ref = tangent_map_lyapunov(spec, n), tangent_map_lyapunov_by_steps(spec, n)
+    assert abs(lam - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("spec", [
+    KickedMapSpec.standard_map(1.0, q0=0.7, p0=0.2),
+    KickedMapSpec.standard_map(3.0, q0=1.3),
+    KickedMapSpec.standard_map(2.0, tau=0.5, q0=0.7, p0=0.2),
+], ids=["gamma1", "gamma3", "tau0.5"])
+@pytest.mark.parametrize("v", [None, (0.6, 0.8)])
+def test_scalar_loops_match_step_loop_on_chaotic_orbits(spec, v):
+    for n in (2_000, 10_000):
+        lam, ref = tangent_map_lyapunov(spec, n, v=v), tangent_map_lyapunov_by_steps(spec, n, v=v)
+        assert abs(lam - ref) <= 1e-13 * abs(ref)
+
+
+@pytest.mark.parametrize("spec", [
+    KickedMapSpec.standard_map(1.0, tau=0.5, q0=0.7, p0=0.2),
+    KickedMapSpec.harmonic_kick(1.5, q0=0.3, p0=0.1),
+], ids=["standard-tau0.5", "harmonic-elliptic"])
+def test_scalar_loops_match_step_loop_on_regular_orbits(spec):
+    # the exponent tends to 0 here, so the bound is absolute
+    for n in (2_000, 10_000):
+        assert abs(tangent_map_lyapunov(spec, n) - tangent_map_lyapunov_by_steps(spec, n)) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", [
+    KickedMapSpec.harmonic_kick(5.0, q0=0.1),
+    KickedMapSpec.harmonic_kick(1e8, q0=1.0),
+    KickedMapSpec.standard_map(1e300, q0=1.0),
+    KickedMapSpec("cat_map", variant=CatVariant.H1, initial=(1e300, 0.0, 0.0, 1e300)),
+], ids=["harmonic-738", "harmonic-huge-z", "standard-huge-gamma", "cat-huge-state"])
+def test_scalar_loops_fail_as_step_loop(spec):
+    with pytest.raises(NumericalError) as ref:
+        tangent_map_lyapunov_by_steps(spec, 2_000)
+    with pytest.raises(NumericalError) as got:
+        tangent_map_lyapunov(spec, 2_000)
+    assert str(got.value) == str(ref.value)
+
+
+def test_harmonic_overflow_names_its_step():
+    with pytest.raises(NumericalError, match="trajectory left the finite domain at step 738$"):
+        tangent_map_lyapunov(KickedMapSpec.harmonic_kick(5.0, q0=0.1), 2_000)
 
 
 def test_tangent_vector_validation():

@@ -15,12 +15,14 @@ from tomolyap import (
     run_standard_map,
 )
 from tomolyap.standard_map import (
+    _cone_table,
     classical_closed_form_series,
     hbar_resonance,
     lattice_extents,
 )
 from oracles import (
     _dictionary_lattice,
+    _full_cone_table,
     brute_force_probes,
     brute_force_windows,
     full_lattice_probes,
@@ -244,6 +246,14 @@ def test_half_lattice_equals_full_lattice_at_benchmark_size(n, q0, split):
     params = StandardMapParams(gamma=1.0, hbar=1.0, q0=q0)
     assert GField(params, 1).split == split
     assert np.array_equal(engine_probes(params, n, "auto"), full_lattice_probes(params, n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30])
+def test_cone_table_keeps_the_rows_the_half_sweep_reads(n):
+    J, K = lattice_extents(n)
+    table = _cone_table(n, (1, 1), J, K)
+    assert table.shape == (n, 4, J + 2)
+    assert np.array_equal(table, _full_cone_table(n, (1, 1), J, K)[:, :, J - 1 :])
 
 
 @pytest.mark.parametrize("hbar", [0.0, 1.0])

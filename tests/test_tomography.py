@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.interpolate import RegularGridInterpolator
 
 from tomolyap import (
     GaussianDensity,
@@ -21,7 +24,7 @@ from tomolyap import (
     tomogram_mean_position,
     wigner_from_tomogram,
 )
-from tomolyap.tomography import _line_quadrature_gaussian, _simpson_weights
+from tomolyap.tomography import _line_quadrature_gaussian, _simpson_rows, _simpson_weights
 from oracles import (
     gaussian_tomogram_values,
     ground_state,
@@ -327,6 +330,60 @@ def test_simpson_weights_match_scipy(n):
     f = np.exp(-y * y) * (1.0 + 0.3 * y) + 0.2j * np.cos(3.0 * y)
     dx = y[1] - y[0]
     assert abs(_simpson_weights(n, dx) @ f - simpson(f, dx=dx)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 257, 2001])
+def test_simpson_rows_equal_scipy_for_odd_n(n):
+    y = np.random.default_rng(n).normal(size=(9, n))
+    assert np.array_equal(_simpson_rows(y, 0.037), simpson(y, dx=0.037, axis=1))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 256, 2000])
+def test_simpson_rows_match_scipy_for_even_n(n):
+    y = np.random.default_rng(n).normal(size=(9, n))
+    ref = simpson(y, dx=0.037, axis=1)
+    scale = 0.037 * np.sum(np.abs(y), axis=1)
+    assert np.all(np.abs(_simpson_rows(y, 0.037) - ref) <= 1e-14 * scale)
+
+
+def test_gaussian_line_quadrature_even_n_line_matches_scipy_simpson():
+    density = GaussianDensity(mean_q=0.3, sigma_q=1.1, sigma_p=0.7, correlation=0.2)
+    xhat = np.linspace(-6.0, 6.0, 101)
+    ref = tomogram_by_line_quadrature(density, xhat, 0.6, 0.8, 2000)
+    got = _line_quadrature_gaussian(density, xhat, 0.6, 0.8, 2000)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
+
+
+def test_grid_density_pdf_matches_regular_grid_interpolator():
+    q = np.linspace(-4.0, 4.0, 81)
+    p = np.linspace(-3.0, 5.0, 61)
+    gaussian = GaussianDensity(mean_q=0.2, mean_p=0.5, sigma_q=1.0, sigma_p=1.2, correlation=0.3)
+    grid = GridDensity(q, p, gaussian.pdf(q[:, None], p[None, :]), norm_tol=1e-2)
+    rng = np.random.default_rng(3)
+    # random points in and beyond the grid, every node of each edge, the
+    # corners, and points one ulp beyond an edge
+    edge_q = np.concatenate([q, q, np.full(p.size, q[0]), np.full(p.size, q[-1])])
+    edge_p = np.concatenate([np.full(q.size, p[0]), np.full(q.size, p[-1]), p, p])
+    beyond_q = [np.nextafter(q[-1], 9.0), np.nextafter(q[0], -9.0), 0.0, 0.0, 7.0, -9.0]
+    beyond_p = [0.0, 0.0, np.nextafter(p[-1], 9.0), np.nextafter(p[0], -9.0), 7.0, 1.0]
+    pq = np.concatenate([rng.uniform(-5.0, 5.0, 5000), edge_q, beyond_q])
+    pp = np.concatenate([rng.uniform(-4.0, 6.0, 5000), edge_p, beyond_p])
+    ref = RegularGridInterpolator((q, p), grid.values, bounds_error=False, fill_value=0.0)
+    got = grid.pdf(pq, pp)
+    assert np.max(np.abs(got - ref(np.stack([pq, pp], axis=-1)))) <= 1e-13
+    assert np.all(got[-len(beyond_q):] == 0.0)
+    assert got.shape == pq.shape
+
+
+def test_grid_density_pdf_broadcasts_and_zeroes_non_finite_points():
+    q = np.linspace(-1.0, 1.0, 21)
+    level = 1.0 / (21 * 21 * 0.1 * 0.1)
+    grid = GridDensity(q, q, np.full((21, 21), level))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = grid.pdf(np.array([[0.3], [np.nan], [np.inf]]), np.array([0.1, -0.2]))
+    assert vals.shape == (3, 2)
+    assert np.allclose(vals[0], level) and np.all(vals[1:] == 0.0)
 
 
 def _phase_matrix_deviation(psi, theta, x_grid=None):
