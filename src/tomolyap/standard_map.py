@@ -236,6 +236,10 @@ class GField:
                 phase = np.exp(1j * (params.q0 * j + params.p0 * params.tau * self._k))
                 np.multiply(params.v1 * j + params.v2 * params.tau * self._k, phase,
                             out=self._dev[j])
+        # the sweep's three row buffers, allocated once (after the fill's
+        # temporaries are gone): fresh ones every period would be mapped and
+        # faulted in again whenever the allocator returns their pages
+        self._scratch = np.empty((3, cols), dtype=dtype)
 
     @property
     def lattice_bytes(self) -> int:
@@ -312,7 +316,7 @@ class GField:
         `below` before the loop, while row 1 is still old.
         """
         dev, J, K = self._dev, self.J, self.K
-        pre, below, diff = (np.empty(dev.shape[1], dtype=dev.dtype) for _ in range(3))
+        pre, below, diff = self._scratch
         pre_lo, pre_hi, post_lo, post_hi = self._cone[t - 1].tolist()
         # the hull table has rows j = -1..J at index j + 1; lattice column c
         # holds k = c - K, so k -> 1 - k takes column c to 2K + 1 - c
@@ -379,6 +383,7 @@ class GField:
         clone.__dict__.update(self.__dict__)
         if self._dev is not None:
             clone._dev = self._dev.copy()
+        clone._scratch = np.empty_like(self._scratch)
         return clone
 
 
