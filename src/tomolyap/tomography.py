@@ -424,7 +424,7 @@ def _line_quadrature(pdf, xhat: np.ndarray, mu_u: float, nu_u: float, s: np.ndar
 
 def _line_quadrature_gaussian(density: GaussianDensity, xhat: np.ndarray, mu_u: float, nu_u: float,
                               n_line: int) -> np.ndarray:
-    # n_line points over 10 standard deviations of the density along the line
+    # n_line points within 10 standard deviations either side of the line's centre
     tangent = np.array([-nu_u, mu_u])
     var_t = float(tangent @ density.covariance() @ tangent)
     s_center = float((np.array([density.mean_q, density.mean_p]) @ tangent))

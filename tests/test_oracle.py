@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tomolyap.oracle as oracle
-from oracles import tangent_map_lyapunov_by_steps
 from tomolyap import (
     CatVariant,
     KickedMapSpec,
@@ -13,6 +12,7 @@ from tomolyap import (
     monodromy_at_fixed_point,
     tangent_map_lyapunov,
 )
+from oracles import tangent_map_lyapunov_by_steps
 
 LAMBDA_GOLDEN = 0.9624236501192069
 
