@@ -76,14 +76,22 @@ def _require_finite_z(z: float) -> None:
         raise ValidationError("z must be finite")
 
 
+def _kicked_coefficients(z: float, n: int):
+    """(a, b) after t = 0..n kicks of the free solution (1, i), as 2-vectors."""
+    vec = np.array([1.0 + 0.0j, 1.0j])
+    yield vec
+    for m in range(1, n + 1):
+        vec = harmonic_kick_matrix(z, m) @ vec
+        yield vec
+
+
 def harmonic_kick_recurrence(z: float, n: int) -> EpsilonState:
     """Apply the kick recurrence n times to the free solution (a, b) = (1, i)."""
     _require_finite_z(z)
     if n < 0:
         raise ValidationError("kick count must be nonnegative")
-    vec = np.array([1.0 + 0.0j, 1.0j])
-    for m in range(1, n + 1):
-        vec = harmonic_kick_matrix(z, m) @ vec
+    for vec in _kicked_coefficients(z, n):
+        pass
     return EpsilonState(complex(vec[0]), complex(vec[1]), n)
 
 
@@ -127,10 +135,7 @@ def harmonic_derivative_series(z: float, n_periods: int, v1: float = 1.0,
         raise ValidationError("need at least one period")
     g2 = np.empty(n_periods + 1, dtype=complex)
     g3 = np.empty(n_periods + 1, dtype=complex)
-    vec = np.array([1.0 + 0.0j, 1.0j])
-    for t in range(n_periods + 1):
-        if t > 0:
-            vec = harmonic_kick_matrix(z, t) @ vec
+    for t, vec in enumerate(_kicked_coefficients(z, n_periods)):
         eps = vec[0] + vec[1] * t
         eps_dot = vec[1]
         g2[t] = v1 * eps.real + v2 * eps.imag

@@ -38,17 +38,24 @@ identity.  Rounding is symmetric under negation and conjugation, and
 f(-k tau) evaluates to exactly -f(k tau), so the stored half holds, bit for
 bit, what a sweep of the whole lattice would hold.
 
-There is one lattice, float64 in split mode and complex128 in direct mode,
-with (J + 1)(2K + 1) = O(n^3) cells (`lattice_extents`).  Each period is
-swept in place, row by row, over the per-row column hull of the backward cone
-only, keeping three rows of scratch; a table of those hulls, for the rows
+There is one lattice, float64 in split mode and complex128 in direct mode.
+The J x K box (`lattice_extents`) has (J + 1)(2K + 1) = O(n^3) cells in
+rows j >= 0, but a sweep reads or writes only about a third of them (8 %
+in any one period), so each row stores only the columns its sweep touches
+in some period (`_cone_table`), the rows one after another in one flat
+array: 2,717,107 of 8,243,221 cells at n = 200.  Each period is swept in
+place, row by row, over the per-row column hull of the backward cone only,
+keeping three rows of scratch; a table of those hulls, for the rows
 j >= -1 the sweep reads, is built once.
 Time is proportional to the swept half of the cone, O(n^4): about half of
 the 2.75e8 cells of the probe pair's cone at n = 200.  `GField.lattice_bytes`
-is the whole allocation (lattice, row buffers, hull table, four column
+is the whole allocation (stored cells, row buffers, hull table, four column
 vectors) and is what the memory budget is checked against; at n = 200 in
-split mode it is about 69 MB (136 MB in direct mode), within 0.2 % of the
-traced peak.
+split mode it is about 24 MB (46 MB in direct mode), within 0.3 % of the
+traced peak.  All of it is resident: numpy asks for transparent huge pages
+on arrays this large, so the kernel backs untouched cells too, which a
+whole-box lattice paid for in full (62 of 66 MB in huge pages after five
+periods at n = 200).
 
 The evolution is linear, and phased-linear fields
 
@@ -134,35 +141,48 @@ def _pi_multiple(x: float) -> int | None:
     return int(m) if abs(x - m * np.pi) <= 1e-12 * max(1.0, abs(x)) else None
 
 
-def _cone_table(n_max: int, keep: tuple[int, int], J: int, K: int) -> np.ndarray:
+def _cone_table(n_max: int, keep: tuple[int, int], J: int,
+                K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column hulls, per period and lattice row, of the cells a sweep evaluates.
 
-    Entry [t - 1] holds four rows of lattice column indices: the pre-kick
-    hull (lo, hi) and the post-kick hull (lo, hi) of period t, with lo > hi
-    for an empty row.  Built backward from period n_max: the keep window is
-    read after every period; a post-kick cell needs the pre-kick cells of its
-    own row and of the two neighbouring rows; free flight moves pre-kick
-    (j, k) of period t to post-kick (j, k + j) of period t - 1.  The build
-    runs over all rows -J..J, but the sweep of the stored half reads only
-    rows j >= -1, so only those are kept, row j at index j + 1.
+    Entry [t - 1] of the table holds four rows of lattice column indices: the
+    pre-kick hull (lo, hi) and the post-kick hull (lo, hi) of period t, with
+    lo > hi for an empty row.  Built backward from period n_max: the keep
+    window is read after every period; a post-kick cell needs the pre-kick
+    cells of its own row and of the two neighbouring rows; free flight moves
+    pre-kick (j, k) of period t to post-kick (j, k + j) of period t - 1.  The
+    build runs over all rows -J..J, but the sweep of the stored half reads
+    only rows j >= -1, so only those are kept, row j at index j + 1.
+
+    Also returned, for each stored row j = 0..J, is the column range
+    [lo, hi] the sweep touches over the whole run (lo > hi if none): the
+    union, over periods, of the columns it reads (pre-kick hull + j) and
+    writes (post-kick hull).  The row above is read inside its own pre-kick
+    hull, and the cone is point-symmetric, so row 1 read as the mirror of
+    pre-kick row -1 stays inside row 1's own pre-kick read.
     """
     rows, cols = 2 * J + 1, 2 * K + 1
     j = np.arange(-J, J + 1)
-    in_keep = np.abs(j) <= keep[0]
+    keep_rows = slice(J - keep[0], J + keep[0] + 1)
     table = np.empty((n_max, 4, J + 2), dtype=np.int32)
-    lo, hi = np.full(rows, cols), np.full(rows, -1)
+    # post-kick hulls of rows -J..J, between one empty row on either side
+    lo_pad, hi_pad = np.full(rows + 2, cols), np.full(rows + 2, -1)
+    lo, hi = lo_pad[1:-1], hi_pad[1:-1]
+    store_lo, store_hi = np.full(J + 1, cols), np.full(J + 1, -1)
     for t in range(n_max, 0, -1):
-        lo[in_keep] = np.minimum(lo[in_keep], K - keep[1])
-        hi[in_keep] = np.maximum(hi[in_keep], K + keep[1])
-        lo_pad = np.pad(lo, 1, constant_values=cols)
-        hi_pad = np.pad(hi, 1, constant_values=-1)
-        pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo_pad[1:-1]), lo_pad[2:])
-        pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi_pad[1:-1]), hi_pad[2:])
+        np.minimum(lo[keep_rows], K - keep[1], out=lo[keep_rows])
+        np.maximum(hi[keep_rows], K + keep[1], out=hi[keep_rows])
+        np.minimum(store_lo, lo[J:], out=store_lo)
+        np.maximum(store_hi, hi[J:], out=store_hi)
+        pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo), lo_pad[2:])
+        pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi), hi_pad[2:])
         table[t - 1] = pre_lo[J - 1 :], pre_hi[J - 1 :], lo[J - 1 :], hi[J - 1 :]
         filled = pre_lo <= pre_hi
-        lo = np.where(filled, pre_lo + j, cols)
-        hi = np.where(filled, pre_hi + j, -1)
-    return table
+        np.copyto(lo, np.where(filled, pre_lo + j, cols))
+        np.copyto(hi, np.where(filled, pre_hi + j, -1))
+        np.minimum(store_lo, lo[J:], out=store_lo)
+        np.maximum(store_hi, hi[J:], out=store_hi)
+    return table, store_lo, store_hi
 
 
 class GField:
@@ -177,10 +197,16 @@ class GField:
     is guaranteed by the cone bookkeeping and anything else raises
     `ConeError`.
 
-    Only rows j = 0..J are stored.  Rows j < 0 are read through the symmetry
-    G(-j, -k) = -conj G(j, k), which the initial data has and which free
-    flight, the real odd kick coefficient and, in split mode, the real odd
-    carried part all preserve (see the module docstring).
+    Only rows j = 0..J are stored, and each only over the columns its sweep
+    touches in some period (`_cone_table`): the rows lie one after another
+    in one flat array, row j at `_offset[j]` up to `_offset[j + 1]`, with
+    lattice column c at flat index `_base[j] + c`.  A read of a cell that is not stored raises
+    `ConeError`, at t = 0 too; a split field whose deviation is still
+    identically zero (`_dev is None`) answers anywhere in the J x K box.
+    Rows j < 0 are read through the symmetry G(-j, -k) = -conj G(j, k),
+    which the initial data has and which free flight, the real odd kick
+    coefficient and, in split mode, the real odd carried part all preserve
+    (see the module docstring).
     """
 
     def __init__(self, params: StandardMapParams, n_max: int,
@@ -207,21 +233,28 @@ class GField:
 
         # the split deviation stays real: carried part, kick and source are real
         dtype = np.dtype(float if self.split else complex)
-        rows, cols = self.J + 1, 2 * self.K + 1
+        cols = 2 * self.K + 1
         table_bytes = self.n_max * 4 * (self.J + 2) * np.dtype(np.int32).itemsize
         vector_bytes = 4 * cols * np.dtype(float).itemsize
-        self._lattice_bytes = (rows + 3) * cols * dtype.itemsize + table_bytes + vector_bytes
+        if table_bytes + vector_bytes > max_bytes:
+            raise ResourceError(
+                f"the cone table and four column vectors of a {dtype} lattice need "
+                f"{table_bytes + vector_bytes} bytes, exceeding the budget of {max_bytes}")
+        self._cone, lo, hi = _cone_table(self.n_max, self.keep, self.J, self.K)
+        width = np.maximum(hi - lo + 1, 0)
+        offset = np.zeros(self.J + 2, dtype=np.int64)
+        np.cumsum(width, out=offset[1:])
+        # row j holds lattice columns c = lo[j]..hi[j] at flat indices base[j] + c
+        self._offset, self._base = offset.tolist(), (offset[:-1] - lo).tolist()
+        cells, widest = self._offset[-1], int(width.max())
+        self._lattice_bytes = (cells + 3 * widest) * dtype.itemsize + table_bytes + vector_bytes
         if self._lattice_bytes > max_bytes:
             raise ResourceError(
-                f"lattice of {rows} x {cols} {dtype} cells with three row buffers, four "
-                f"column vectors and the cone table needs {self._lattice_bytes} bytes, "
-                f"exceeding the budget of {max_bytes}")
-        self._cone = _cone_table(self.n_max, self.keep, self.J, self.K)
+                f"lattice of {cells} {dtype} cells (rows 0..{self.J} over the backward "
+                f"cone) with three row buffers, four column vectors and the cone table "
+                f"needs {self._lattice_bytes} bytes, exceeding the budget of {max_bytes}")
 
         self._k = np.arange(-self.K, self.K + 1)
-        self._fcol = params.f(params.tau * self._k)
-        self._half_gamma_f = (params.gamma / 2.0) * self._fcol
-
         if self.split:
             self._m0, self._mb = m0, mb
             self.c_mu = complex(params.v1)
@@ -231,23 +264,29 @@ class GField:
         else:
             self._m0 = self._mb = 0
             self.c_mu = self.c_nu = 0.0 + 0.0j
-            self._dev = np.empty((rows, cols), dtype=dtype)
-            for j in range(rows):
-                phase = np.exp(1j * (params.q0 * j + params.p0 * params.tau * self._k))
-                np.multiply(params.v1 * j + params.v2 * params.tau * self._k, phase,
-                            out=self._dev[j])
+            self._dev = np.empty(cells, dtype=dtype)
+            p_k = params.p0 * params.tau * self._k
+            v_k = params.v2 * params.tau * self._k
+            for j, base in enumerate(self._base):
+                a, b = self._offset[j] - base, self._offset[j + 1] - base
+                phase = np.exp(1j * (params.q0 * j + p_k[a:b]))
+                np.multiply(params.v1 * j + v_k[a:b], phase, out=self._dev[base + a : base + b])
+            del p_k, v_k
+        self._fcol = params.f(params.tau * self._k)
+        self._half_gamma_f = (params.gamma / 2.0) * self._fcol
         # the sweep's three row buffers, allocated once (after the fill's
         # temporaries are gone): fresh ones every period would be mapped and
         # faulted in again whenever the allocator returns their pages
-        self._scratch = np.empty((3, cols), dtype=dtype)
+        self._scratch = np.empty((3, widest), dtype=dtype)
 
     @property
     def lattice_bytes(self) -> int:
         """Bytes the evolution allocates at most.
 
-        The lattice, its three row buffers, the cone table, and four
-        (2K + 1)-vectors of 8-byte entries: the columns `_k`, `_fcol` and
-        `_half_gamma_f`, and one period's kick source.
+        The stored cells, three row buffers as wide as the widest stored
+        row, the cone table, and four (2K + 1)-vectors of 8-byte entries:
+        the columns `_k`, `_fcol` and `_half_gamma_f`, and one period's kick
+        source.
         """
         return self._lattice_bytes
 
@@ -273,6 +312,15 @@ class GField:
                 f"cell ({j}, {k}) outside the declared probe window {self.keep}; "
                 "construct the field with a larger keep window")
 
+    def _stored(self, j: int, k_lo: int, k_hi: int) -> int:
+        """Flat index of G(j, k_lo), j >= 0; cells k_lo..k_hi must be stored."""
+        zero = self._base[j] + self.K
+        if zero + k_lo < self._offset[j] or zero + k_hi >= self._offset[j + 1]:
+            raise ConeError(
+                f"cells ({j}, {k_lo}..{k_hi}) outside the stored backward cone "
+                f"(row {j} holds k = {self._offset[j] - zero}..{self._offset[j + 1] - zero - 1})")
+        return zero + k_lo
+
     def value(self, j: int, k: int) -> complex:
         """G at lattice point (mu = j, nu = k tau), current time."""
         self._check_window(j, k)
@@ -280,8 +328,8 @@ class GField:
         if self._dev is None:
             return carried
         if j >= 0:
-            return carried + complex(self._dev[j, self.K + k])
-        return carried - complex(self._dev[-j, self.K - k]).conjugate()
+            return carried + complex(self._dev[self._stored(j, k, k)])
+        return carried - complex(self._dev[self._stored(-j, -k, -k)]).conjugate()
 
     def probe_pair(self) -> tuple[complex, complex]:
         """The two derivative-iteration probes G(1, tau) and G(-1, -tau)."""
@@ -298,7 +346,10 @@ class GField:
             sign = np.where((par_t * j[:, None] + self._mb * k[None, :]) % 2, -1.0, 1.0)
             out = (self.c_mu * j[:, None] + self.c_nu * self.params.tau * k[None, :]) * sign
         if self._dev is not None:
-            half = self._dev[: jmax + 1, self.K - kmax : self.K + kmax + 1]
+            half = np.empty((jmax + 1, k.size), dtype=self._dev.dtype)
+            for r in range(jmax + 1):
+                start = self._stored(r, -kmax, kmax)
+                half[r] = self._dev[start : start + k.size]
             out = out + np.concatenate([-half[:0:-1, ::-1].conj(), half])
         return out
 
@@ -307,36 +358,39 @@ class GField:
     def _sweep(self, t: int, source: np.ndarray | None, flip_odd_rows: bool) -> None:
         """Free flight and kick of period t, in place, over the backward cone.
 
-        Rows j = 0..J go in ascending order.  Row j's pre-kick values (old
-        row j read at k + j) are copied to `pre` before row j is overwritten;
-        the row below, already overwritten, is read from its copy `below`,
-        and the row above is still old and is read in place at k + j + 1.
-        Row 0's lower neighbour is pre-kick row -1, the mirror of old row 1:
+        Rows j = 0..J go in ascending order; lattice column c of row j sits
+        at flat index `base[j] + c`.  Row j's pre-kick values (old row j read
+        at k + j) are copied to `pre` before row j is overwritten; the row
+        below, already overwritten, is read from its copy `below`, and the
+        row above is still old and is read in place at k + j + 1.  Row 0's
+        lower neighbour is pre-kick row -1, the mirror of old row 1:
         pre_{-1}[k] = old[-1, k - 1] = -conj old[1, 1 - k].  It is copied into
         `below` before the loop, while row 1 is still old.
         """
-        dev, J, K = self._dev, self.J, self.K
+        dev, base, J, K = self._dev, self._base, self.J, self.K
         pre, below, diff = self._scratch
         pre_lo, pre_hi, post_lo, post_hi = self._cone[t - 1].tolist()
         # the hull table has rows j = -1..J at index j + 1; lattice column c
         # holds k = c - K, so k -> 1 - k takes column c to 2K + 1 - c
         below_lo, below_hi = pre_lo[0], pre_hi[0]
         mirror = below[: below_hi - below_lo + 1]
-        np.negative(dev[1, 2 * K + 1 - below_hi : 2 * K + 2 - below_lo][::-1], out=mirror)
+        flip = base[1] + 2 * K + 1
+        np.negative(dev[flip - below_hi : flip + 1 - below_lo][::-1], out=mirror)
         if not self.split:
             np.conjugate(mirror, out=mirror)
         for j in range(J + 1):
             lo, hi = pre_lo[j + 1], pre_hi[j + 1]
             if lo > hi:
                 continue
-            np.copyto(pre[: hi - lo + 1], dev[j, lo + j : hi + j + 1])
+            row = base[j]
+            np.copyto(pre[: hi - lo + 1], dev[row + lo + j : row + hi + j + 1])
             a, b = post_lo[j + 1], post_hi[j + 1] + 1
             if a < b:
                 d = diff[: b - a]
-                np.subtract(dev[j + 1, a + j + 1 : b + j + 1],
-                            below[a - below_lo : b - below_lo], out=d)
+                up = base[j + 1] + j + 1
+                np.subtract(dev[up + a : up + b], below[a - below_lo : b - below_lo], out=d)
                 np.multiply(self._half_gamma_f[a:b], d, out=d)
-                out = dev[j, a:b]
+                out = dev[row + a : row + b]
                 np.add(pre[a - lo : b - lo], d, out=out)
                 if source is not None:
                     if flip_odd_rows and j % 2:
@@ -358,7 +412,7 @@ class GField:
         post_free_c_mu = self.c_mu + tau * self.c_nu if self.split else self.c_mu
         need_source = self.split and not params.classical and post_free_c_mu != 0.0
         if need_source and self._dev is None:
-            self._dev = np.zeros((self.J + 1, 2 * self.K + 1), dtype=float)
+            self._dev = np.zeros(self._offset[-1], dtype=float)
         parity = self._kick_parity(t)
         sign = -1.0 if parity else 1.0
 

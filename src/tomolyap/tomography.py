@@ -97,6 +97,12 @@ def _simpson_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
+def _check_n_line(n_line: int) -> None:
+    # Simpson needs three points; two would integrate the 10-sigma line ends only
+    if n_line < 3:
+        raise ValidationError(f"n_line must be at least 3, got {n_line}")
+
+
 def _check_direction(mu: float, nu: float) -> float:
     """Length of a usable direction (mu, nu): finite and not the zero vector."""
     if not np.isfinite([mu, nu]).all():
@@ -458,7 +464,10 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,
 
     Densities are validated at construction, so any density accepted here is
     normalized; the output is normalized in X to quadrature accuracy.
+    `n_line` (at least 3) is the number of line points for a Gaussian
+    density; a gridded density sets its own.
     """
+    _check_n_line(n_line)
     r = _check_direction(mu, nu)
     mu_u, nu_u = mu / r, nu / r
 
@@ -478,6 +487,7 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,
 def gaussian_tomogram_family(density: PhaseSpaceDensity, n_directions: int = DEFAULT_DIRECTIONS,
                              x_grid=None, n_line: int = 2001) -> list[Tomogram]:
     """Tomograms over theta_i = i pi / n on a common X grid (for inversion)."""
+    _check_n_line(n_line)
     if x_grid is None:
         # one grid wide enough for every direction
         widths = []

@@ -77,6 +77,12 @@ def test_memory_budget_enforced():
         GField(classical_params(q0=0.7), 200, max_bytes=10_000_000)
 
 
+def test_memory_budget_checked_before_the_cone_table_is_built():
+    # the n = 200 table alone takes 200 x 4 x 203 int32 entries, 650 KB
+    with pytest.raises(ResourceError, match="cone table .* float64"):
+        GField(classical_params(), 200, max_bytes=500_000)
+
+
 @pytest.mark.parametrize("mode", ["split", "direct"])
 def test_lattice_bytes_is_the_traced_peak(mode):
     params = StandardMapParams(gamma=1.0, hbar=1.0)
@@ -251,9 +257,86 @@ def test_half_lattice_equals_full_lattice_at_benchmark_size(n, q0, split):
 @pytest.mark.parametrize("n", [1, 2, 30])
 def test_cone_table_keeps_the_rows_the_half_sweep_reads(n):
     J, K = lattice_extents(n)
-    table = _cone_table(n, (1, 1), J, K)
+    table, _, _ = _cone_table(n, (1, 1), J, K)
     assert table.shape == (n, 4, J + 2)
     assert np.array_equal(table, _full_cone_table(n, (1, 1), J, K)[:, :, J - 1 :])
+
+
+def stored_ranges(field):
+    """Lattice column range [lo, hi] each stored row j = 0..J holds."""
+    off = field._offset
+    return [(off[j] - base, off[j + 1] - base - 1) for j, base in enumerate(field._base)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 30])
+@pytest.mark.parametrize("keep", [(1, 1), (2, 5), (3, 2)])
+def test_stored_rows_are_the_cells_the_sweep_touches(keep, n):
+    # enumerate, period by period, every column of row j >= 0 the sweep reads
+    # or writes: pre-kick row j at k + j, the row above at k + j + 1 over the
+    # post-kick hull, the post-kick hull itself, and row 1 as the mirror of
+    # pre-kick row -1 (k -> 1 - k)
+    field = GField(StandardMapParams(gamma=1.0, hbar=1.0, q0=0.4), n, keep=keep)
+    J, K = field.J, field.K
+    table = _full_cone_table(n, keep, J, K)
+    touched = [set() for _ in range(J + 1)]
+    for pre_lo, pre_hi, post_lo, post_hi in table:
+        for j in range(J + 1):
+            r = j + J
+            touched[j].update(range(pre_lo[r] + j, pre_hi[r] + j + 1))
+            touched[j].update(range(post_lo[r], post_hi[r] + 1))
+            if post_lo[r] <= post_hi[r]:
+                touched[j + 1].update(range(post_lo[r] + j + 1, post_hi[r] + j + 2))
+        touched[1].update(2 * K + 1 - c for c in range(pre_lo[J - 1], pre_hi[J - 1] + 1))
+    for j, (lo, hi) in enumerate(stored_ranges(field)):
+        assert touched[j] == set(range(lo, hi + 1)), j
+
+
+def test_stored_cone_size_at_benchmark_size():
+    field = GField(StandardMapParams(gamma=1.0, hbar=1.0), 200)
+    assert field._dev is None
+    assert field._offset[-1] == 2_717_107
+    assert field.lattice_bytes < 24.2e6
+
+
+def test_direct_initial_data_is_bit_exact_in_every_stored_cell():
+    params = StandardMapParams(gamma=1.0, hbar=1.0, q0=0.4, p0=0.9, v1=0.6, v2=-1.1)
+    field = GField(params, 12, keep=(2, 5))
+    assert not field.split
+    k = np.arange(-field.K, field.K + 1)
+    rows = []
+    for j, (lo, hi) in enumerate(stored_ranges(field)):
+        row = ((params.v1 * j + params.v2 * params.tau * k)
+               * np.exp(1j * (params.q0 * j + params.p0 * params.tau * k)))
+        rows.append(row[lo : hi + 1])
+    assert field._dev.tobytes() == np.concatenate(rows).tobytes()
+
+
+def test_direct_read_outside_stored_cone_raises_at_initial_time():
+    field = GField(StandardMapParams(gamma=1.0, hbar=1.0, q0=0.4, p0=0.9), 12)
+    lo, hi = stored_ranges(field)[2]
+    assert field.value(2, hi - field.K) == field.value(2, hi - field.K)  # stored
+    for j, k in [(2, hi + 1 - field.K), (2, lo - 1 - field.K), (-2, field.K - hi - 1),
+                 (field.J, 0)]:
+        with pytest.raises(ConeError, match="stored backward cone"):
+            field.value(j, k)
+    with pytest.raises(ConeError, match="stored backward cone"):
+        field.dense_window(field.J, 1)
+
+
+def test_copy_of_ragged_field_is_independent():
+    params = StandardMapParams(gamma=1.0, hbar=1.0, q0=0.4, p0=0.9)
+    field = GField(params, 10, keep=(2, 5))
+    initial = field._dev.copy()
+    clone = field.copy()
+    assert not np.shares_memory(clone._dev, field._dev)
+    for _ in range(4):
+        clone.advance()
+    assert field.t == 0 and np.array_equal(field._dev, initial)
+    for _ in range(4):
+        field.advance()
+    assert np.array_equal(field.dense_window(2, 5), clone.dense_window(2, 5))
+    clone.advance()
+    assert field.t == 4 and clone.t == 5
 
 
 @pytest.mark.parametrize("hbar", [0.0, 1.0])

@@ -143,6 +143,16 @@ def test_grid_density_rejects_unnormalized():
         GridDensity(q, q, vals)
 
 
+@pytest.mark.parametrize("n_line", [0, 1, 2])
+def test_too_few_line_points_rejected(n_line):
+    # 0 and 1 used to fail with an IndexError, 2 to integrate to mass ~1e-21
+    density = GaussianDensity()
+    with pytest.raises(ValidationError, match="n_line"):
+        forward_tomogram(density, 1.0, 0.5, n_line=n_line)
+    with pytest.raises(ValidationError, match="n_line"):
+        gaussian_tomogram_family(density, n_directions=4, n_line=n_line)
+
+
 def test_tomogram_rejects_zero_direction():
     x = np.linspace(-5, 5, 64)
     vals = np.exp(-(x**2) / 2) / np.sqrt(2 * np.pi)
