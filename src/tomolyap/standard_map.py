@@ -271,6 +271,7 @@ class GField:
                 a, b = self._offset[j] - base, self._offset[j + 1] - base
                 phase = np.exp(1j * (params.q0 * j + p_k[a:b]))
                 np.multiply(params.v1 * j + v_k[a:b], phase, out=self._dev[base + a : base + b])
+            # freed before the sweep's column vectors exist: the budget counts four
             del p_k, v_k
         self._fcol = params.f(params.tau * self._k)
         self._half_gamma_f = (params.gamma / 2.0) * self._fcol
