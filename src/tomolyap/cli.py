@@ -251,12 +251,17 @@ def run_oracle(cfg: dict, record: dict, out: Path, args) -> str:
     if cfg["map"] == "standard":
         spec = KickedMapSpec.standard_map(cfg["gamma"], cfg["tau"], cfg["q0"], cfg["p0"])
         label = f"standard_map(gamma={cfg['gamma']}, tau={cfg['tau']})"
+        read = ("gamma", "tau", "q0", "p0")
     elif cfg["map"] == "harmonic":
         spec = KickedMapSpec.harmonic_kick(cfg["z"], cfg["q0"], cfg["p0"])
         label = f"harmonic_kick(z={cfg['z']})"
+        read = ("z", "q0", "p0")
     else:
         spec = KickedMapSpec.cat_map(CatVariant(cfg["variant"]))
         label = f"cat_map({cfg['variant']})"
+        read = ("variant",)
+    # echo only the parameters the chosen map reads
+    record["params"] = {k: v for k, v in cfg.items() if k in ("map", "steps", *read)}
     lam = tangent_map_lyapunov(spec, cfg["steps"])
     record["lambda"] = lam
     write_csv(out / "oracle_result.csv", ["spec", "n_steps", "lambda"],

@@ -16,13 +16,15 @@ law carries no hbar-dependent correction (all third and higher derivatives of
 the Hamiltonian vanish), so classical and quantum exponents coincide; the
 exponent is ln(spectral radius) of the one-period matrix.
 
-`floquet_lambda` imports `scipy.linalg.expm` on its first call, so importing
-this module loads numpy only.
+The two matrix exponentials of `floquet_lambda` are the module's own
+`_expm`, in numpy: exact finite sums for the nilpotent generators of the cat
+models, Pade-13 with scaling and squaring otherwise.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,14 +279,59 @@ def build_cat_model(variant: CatVariant) -> QuadraticModel:
     return QuadraticModel(2, b0, bk)
 
 
+# numerator coefficients of the degree-13 Pade approximant to exp (the
+# denominator's alternate in sign), and the 1-norm up to which it reaches
+# double precision without scaling (Higham 2005, table 2.3)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a small square matrix.
+
+    When some power a^k with k <= dim is exactly zero the series stops, and
+    exp(a) is the finite sum of a^i / i! over i < k, formed as the
+    combination of a^i with the integer weights (k-1)!/i! and divided once by
+    (k-1)!.  For an integer matrix every entry is then the exact sum,
+    correctly rounded.  The H1 cat model needs this: its one-period matrix has
+    a defective eigenvalue pair, so a roundoff-level change of the matrix
+    moves its exponent by about the square root of that change.  Otherwise
+    a / 2^s, with s the least power of two that brings the 1-norm under
+    _THETA13, goes through the degree-13 Pade approximant, squared s times
+    (Higham 2005).
+    """
+    eye = np.eye(a.shape[0])
+    powers = [eye]
+    for k in range(1, a.shape[0] + 1):
+        powers.append(powers[-1] @ a)
+        if not powers[-1].any():
+            top = math.factorial(k - 1)
+            return sum(top // math.factorial(i) * powers[i] for i in range(k)) / top
+
+    norm = np.linalg.norm(a, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def floquet_lambda(model: QuadraticModel, n_kicks: int) -> FloquetMatrix:
     """n-period transport matrix (exp(S B0 tau) exp(S Bk))^n."""
     if n_kicks < 0:
         raise ValidationError("n_kicks must be nonnegative")
-    from scipy.linalg import expm
-
     s = symplectic_form(model.dimension)
-    one = expm(s @ model.b0 * model.tau) @ expm(s @ model.bk)
+    one = _expm(s @ model.b0 * model.tau) @ _expm(s @ model.bk)
     return FloquetMatrix(np.linalg.matrix_power(one, n_kicks), n_kicks)
 
 

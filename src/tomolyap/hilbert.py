@@ -38,8 +38,8 @@ scale of the states and their tangents.  A grid that would need more than
 truncated silently.  At gamma = hbar = 1, n = 200 the grid chosen is
 N = 256, S = 26, and its probes agree to about 1e-10 with N = 1024, S = 96.
 
-The kick's reach uses `scipy.special.jv`, imported on the first call of
-`_kick_reach`, so importing this module loads numpy only.
+The kick's reach takes J_m(x) from Miller's backward recurrence, in plain
+Python floats, so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -54,13 +54,43 @@ MAX_BYTES = 256 * 1024**2
 
 
 def _kick_reach(x: float) -> int:
-    """Smallest M > |x| with |J_M(x)| below LEAK_TOL: one kick's reach in k."""
-    from scipy.special import jv
+    """Smallest M > |x| with |J_M(x)| below LEAK_TOL: one kick's reach in k.
 
-    m = int(abs(x)) + 1
-    while abs(jv(m, x)) >= LEAK_TOL:
-        m += 1
-    return m
+    J_m(x) comes from Miller's backward recurrence J_(m-1) = (2m/x) J_m -
+    J_(m+1), started from (0, 1) far enough above |x| that the start's error
+    has died out by the reach, and normalised by J_0 + 2 sum_k J_2k = 1.  Only
+    the values from int(|x|) + 1 up are kept; those below enter the sum.  The
+    recurrence takes about |x| steps.
+    """
+    x = abs(x)
+    first = int(x) + 1
+    if x == 0.0:
+        return first
+    top = first + 30 + int(20.0 * x ** (1.0 / 3.0))
+    above, f = 0.0, 1.0
+    kept, even = [], 0.0
+    for m in range(top, 0, -1):
+        if m >= first:
+            kept.append(f)
+        if m % 2 == 0:
+            even += f
+        above, f = f, (2.0 * m / x) * f - above
+        if abs(f) > 1e250:
+            above, f, even = above * 1e-250, f * 1e-250, even * 1e-250
+            kept = [v * 1e-250 for v in kept]
+    norm = abs(f + 2.0 * even)
+    for m, v in zip(range(first, top + 1), reversed(kept)):
+        if abs(v) < LEAK_TOL * norm:
+            return m
+    raise NumericalError(f"the Bessel recurrence at x = {x} did not decay by order {top}")
+
+
+def _state_bytes(s: int, n_points: int) -> int:
+    """States and tangents of both fibres, with room for the FFT and D temporaries.
+
+    The traced peak is about 4.3 times the state array.
+    """
+    return 5 * 2 * 2 * (2 * s + 1) * n_points * np.dtype(complex).itemsize
 
 
 def _grid_for(s: int, reach: int, n_points: int = 16) -> int:
@@ -141,13 +171,15 @@ def quantum_probes(params: StandardMapParams, n_max: int) -> np.ndarray:
         raise ValidationError("the Hilbert-space route needs hbar > 0")
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
-    reach = _kick_reach(params.gamma / params.hbar)
+    x = params.gamma / params.hbar
+    # the reach exceeds |x|: skip its O(|x|) recurrence when that alone overflows the grid
+    reach = int(abs(x)) + 1
+    if _state_bytes(reach + 1, _grid_for(reach + 1, reach)) <= MAX_BYTES:
+        reach = _kick_reach(x)
     s = max(8, reach + 1)
     n_points = _grid_for(s, reach)
     while True:
-        # states and tangents of both fibres, with room for the FFT and D temporaries
-        # (the traced peak is about 4.3 times the state array)
-        need = 5 * 2 * 2 * (2 * s + 1) * n_points * np.dtype(complex).itemsize
+        need = _state_bytes(s, n_points)
         if need > MAX_BYTES:
             raise NumericalError(
                 f"the Hilbert-space grid of {n_points} momenta and {2 * s + 1} basis "

@@ -80,6 +80,18 @@ def test_oracle_run(tmp_path):
     assert "standard_map" in csv_text
 
 
+@pytest.mark.parametrize("map_name, keys", [
+    ("standard", ["map", "gamma", "tau", "q0", "p0", "steps"]),
+    ("harmonic", ["map", "z", "q0", "p0", "steps"]),
+    ("cat", ["map", "variant", "steps"]),
+])
+def test_oracle_records_only_the_parameters_its_map_reads(tmp_path, map_name, keys):
+    assert run(["oracle", "--map", map_name, "--q0", "0.5", "--gamma", "2", "--steps", "500",
+                "--out", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "oracle_result.json").read_text())
+    assert list(record["params"]) == keys
+
+
 def test_tomography_run(tmp_path):
     assert run(["tomography", "--mean-q", "2", "--mu", "1", "--nu", "0",
                 "--directions", "40", "--homogeneity-samples", "3",
@@ -307,8 +319,18 @@ def test_bad_subcommand_exits_2():
 # ---------------------------------------------------------------------------
 
 
+def scipy_modules_loaded_by(code: str) -> str:
+    """Run `code` in a fresh interpreter (this test process has imported scipy
+    already) and return the printed list of scipy modules loaded at its end."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    src = str(Path(tomolyap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
 def test_import_and_standard_map_run_load_no_scipy(tmp_path):
-    # a fresh interpreter: this test process has imported scipy already
     code = (
         "import sys, numpy as np, tomolyap, tomolyap.cli\n"
         "from tomolyap import (GaussianDensity, GridDensity, KickedMapSpec, forward_tomogram,\n"
@@ -326,11 +348,19 @@ def test_import_and_standard_map_run_load_no_scipy(tmp_path):
         "q = np.linspace(-8.0, 8.0, 161)\n"
         "grid = GridDensity(q, q, density.pdf(q[:, None], q[None, :]), norm_tol=1e-4)\n"
         "forward_tomogram(grid, 0.6, 0.8)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
-    src = str(Path(tomolyap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "[]"
+    assert scipy_modules_loaded_by(code) == "[]"
     assert (tmp_path / "standard_map_result.json").exists()
+
+
+def test_cat_routes_and_quantum_probes_load_no_scipy(tmp_path):
+    runs = [["cat", "--variant", "h1"], ["oracle", "--map", "cat", "--steps", "200"],
+            ["compare", "--n", "20", "--oracle-steps", "200"]]
+    code = "import sys, tomolyap.cli\n" + "".join(
+        f"assert tomolyap.cli.main({argv + ['--out', str(tmp_path / argv[0])]!r}) == 0\n"
+        for argv in runs)
+    code += ("from tomolyap import StandardMapParams, quantum_probes\n"
+             "quantum_probes(StandardMapParams(gamma=1.0, hbar=1.0), 5)\n")
+    assert scipy_modules_loaded_by(code) == "[]"
+    for argv in runs:
+        assert (tmp_path / argv[0] / f"{argv[0]}_result.json").exists()

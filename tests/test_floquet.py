@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from tomolyap import (
     CatVariant,
@@ -18,6 +21,7 @@ from tomolyap import (
 )
 from tomolyap.floquet import (
     GOLDEN_RATIO,
+    _expm,
     directional_derivatives_vanish,
     harmonic_floquet_matrix,
     kick_only_inverse_block,
@@ -220,6 +224,65 @@ def test_floquet_symplectic_random_models(entries):
     assert flo.symplectic_defect() < 1e-10
 
 
+def test_h1_eigenvalue_moduli_are_golden_ratio_powers():
+    # a defective pair each: the eigenvalues split by about sqrt(roundoff), their moduli do not
+    moduli = np.sort(np.abs(floquet_lambda(build_cat_model(CatVariant.H1), 3).eigenvalues()))
+    expected = GOLDEN_RATIO ** np.array([-6.0, -6.0, 6.0, 6.0])
+    np.testing.assert_allclose(moduli, expected, rtol=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# matrix exponential
+# ---------------------------------------------------------------------------
+
+
+def _expm_long_double(a):
+    """Taylor series in long double on a / 2^s with 1-norm <= 1/2, squared s times."""
+    s = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / 0.5))))
+    a = a.astype(np.longdouble) / np.longdouble(2) ** s
+    term = total = np.eye(a.shape[0], dtype=np.longdouble)
+    for k in range(1, 30):
+        term = term @ a / k
+        total = total + term
+    for _ in range(s):
+        total = total @ total
+    return total
+
+
+def test_expm_matches_scipy_on_hamiltonian_generators():
+    # scipy's own expm is off by up to ~9e-13 of the norm here (against the long-double
+    # series), so the comparison with it cannot be tighter than 1e-12
+    rng = np.random.default_rng(1)
+    s = symplectic_form(2)
+    for norm in np.geomspace(1e-3, 30.0, 200):
+        b = rng.normal(size=(4, 4))
+        a = s @ (b + b.T)
+        a *= norm / np.linalg.norm(a, 1)
+        got = _expm(a)
+        want = expm(a)
+        assert np.linalg.norm(got - want, 1) <= 1e-12 * np.linalg.norm(want, 1), norm
+        ref = _expm_long_double(a)
+        assert float(np.linalg.norm(got - ref, 1)) <= 1e-14 * float(np.linalg.norm(ref, 1)), norm
+
+
+@pytest.mark.parametrize("variant, form, order", [
+    (CatVariant.H1, "b0", 4), (CatVariant.H1, "bk", 2),
+    (CatVariant.H2, "b0", 2), (CatVariant.KICK_ONLY, "b0", 1),
+])
+def test_expm_of_nilpotent_cat_generator_is_its_exact_series(variant, form, order):
+    model = build_cat_model(variant)
+    a = symplectic_form(2) @ getattr(model, form)
+    exact = [[Fraction(x) for x in row] for row in a.tolist()]
+    power = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    total = power
+    for k in range(1, order):
+        power = [[sum(power[i][m] * exact[m][j] for m in range(4)) / k for j in range(4)]
+                 for i in range(4)]
+        total = [[t + p for t, p in zip(trow, prow)] for trow, prow in zip(total, power)]
+    assert not np.linalg.matrix_power(a, order).any()
+    assert np.array_equal(_expm(a), np.array(total, dtype=float))
+
+
 def test_propagate_zero_kicks_identity():
     model = build_cat_model(CatVariant.H2)
     mu, nu = np.array([0.4, -1.0]), np.array([0.7, 0.2])
@@ -260,6 +323,10 @@ def test_propagate_matches_unrolled_row_product():
 
 def test_cat_lyapunov_kick_only_closed_form():
     assert abs(cat_lyapunov(CatVariant.KICK_ONLY) - 2.0 * np.log(GOLDEN_RATIO)) < 1e-12
+
+
+def test_cat_lyapunov_h1_closed_form():
+    assert abs(cat_lyapunov(CatVariant.H1) - 2.0 * np.log(GOLDEN_RATIO)) < 1e-12
 
 
 def test_cat_lyapunov_pinned_values():

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 import tomolyap.hilbert as hilbert
 from tomolyap import (NumericalError, StandardMapParams, ValidationError, quantum_probes,
@@ -97,6 +98,27 @@ def test_oversized_first_grid_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1024**2
+
+
+def test_kick_reach_equals_a_bessel_scan():
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([np.linspace(0.05, 300.0, 1500), rng.uniform(-300.0, 300.0, 1000),
+                         10.0 ** rng.uniform(-9.0, -1.0, 100), np.arange(0.0, 301.0)])
+    for x in xs:
+        m = int(abs(x)) + 1
+        while abs(jv(m, x)) >= hilbert.LEAK_TOL:
+            m += 1
+        assert hilbert._kick_reach(x) == m, x
+
+
+def test_kick_too_strong_for_any_grid_skips_the_reach(monkeypatch):
+    # the recurrence takes about gamma/hbar steps; a grid for gamma/hbar alone is already too large
+    def no_reach(x):
+        raise AssertionError("reach computed")
+
+    monkeypatch.setattr(hilbert, "_kick_reach", no_reach)
+    with pytest.raises(NumericalError, match="ceiling"):
+        quantum_probes(StandardMapParams(gamma=1.0, hbar=1e-9), 5)
 
 
 def test_resonant_spread_raises():
