@@ -162,16 +162,19 @@ def quantum_probes(params: StandardMapParams, n_max: int) -> np.ndarray:
 
     Feeds `derivative_iteration` directly.  The second probe is the Weyl
     symbol of the adjoint displacement, so G(-1, -tau, t) = -conj(G(1, tau, t))
-    for the real direction (v1, v2).  Raises `ValidationError` for hbar = 0 or
-    n_max < 1 and `NumericalError` when the grid needed to hold the evolved
-    states exceeds `MAX_BYTES` (for example at a quantum resonance, where
-    momentum spreads without bound).
+    for the real direction (v1, v2).  Raises `ValidationError` for hbar = 0,
+    a non-finite gamma/hbar or n_max < 1, and `NumericalError` when the grid
+    needed to hold the evolved states exceeds `MAX_BYTES` (for example at a
+    quantum resonance, where momentum spreads without bound).
     """
     if params.classical:
         raise ValidationError("the Hilbert-space route needs hbar > 0")
     if n_max < 1:
         raise ValidationError("n_max must be at least 1")
     x = params.gamma / params.hbar
+    if not np.isfinite(x):
+        raise ValidationError(
+            f"gamma/hbar = {params.gamma:g}/{params.hbar:g} is not a finite kick strength")
     # the reach exceeds |x|: skip its O(|x|) recurrence when that alone overflows the grid
     reach = int(abs(x)) + 1
     if _state_bytes(reach + 1, _grid_for(reach + 1, reach)) <= MAX_BYTES:

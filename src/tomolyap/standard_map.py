@@ -12,7 +12,10 @@ f(nu) = (2/hbar) sin(hbar nu / 2) in the quantum one.  The kick reads only
 pre-kick values.  Initial data is the dipole-perturbation symbol
 (v1 mu + v2 nu) exp(i(q0 mu + p0 nu)).
 
-Classically the two-term kick is exact.  At hbar > 0 it is the first-order,
+The two-term kick is the first order of the exact kick in both regimes.
+Classically the exact kick is sum_m J_m(gamma nu) G(mu + m, nu); the two
+terms reproduce it only on the phased-linear family at q0, p0 tau in pi Z,
+which is what split mode carries.  At hbar > 0 it is the first-order,
 non-unitary lattice recursion that the symbolic and dictionary oracles pin
 down: the exact quantum kick is sum_m J_m(gamma f(nu)) G(mu + m, nu), unitary
 on each column, whereas the two-term stencil amplifies a column by up to

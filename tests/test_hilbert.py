@@ -88,6 +88,13 @@ def test_invalid_input_raises(kw, n_max):
         quantum_probes(StandardMapParams(**kw), n_max)
 
 
+@pytest.mark.parametrize("gamma, hbar", [(1.0, 1e-310), (1e300, 1e-10)])
+def test_non_finite_kick_strength_raises_validation_error(gamma, hbar):
+    # gamma/hbar overflows to inf while both inputs are finite and valid
+    with pytest.raises(ValidationError, match="gamma/hbar"):
+        quantum_probes(StandardMapParams(gamma=gamma, hbar=hbar), 5)
+
+
 def test_oversized_first_grid_raises_before_allocating():
     # one kick at gamma/hbar = 1000 already reaches ~1000 momenta each way
     tracemalloc.start()

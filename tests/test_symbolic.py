@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from tomolyap import (
@@ -60,6 +62,18 @@ def test_column_sums_equal_word_matrices(gamma, hbar):
     params = StandardMapParams(gamma=gamma, hbar=hbar, v1=0.7, v2=-1.3)
     for n in range(13):
         assert symbolic_expand(params, n) == symbolic_expand_by_word_matrices(params, n)
+
+
+def test_expansion_at_the_budget_keeps_a_bounded_working_set():
+    # two 3^12 float64 vectors are 8.1 MiB; the integer sums of all words
+    # at once would add over 20 MiB more
+    tracemalloc.start()
+    try:
+        symbolic_expand(StandardMapParams(gamma=1.0, hbar=1.0), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_expansion_general_direction():

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -112,6 +113,19 @@ def test_blocked_gaussian_line_quadrature_is_bit_equal_to_full_array(theta):
     mu_u, nu_u = np.cos(theta), np.sin(theta)
     blocked = _line_quadrature_gaussian(density, xhat, mu_u, nu_u, 2001)
     assert np.array_equal(blocked, tomogram_by_line_quadrature(density, xhat, mu_u, nu_u, 2001))
+
+
+def test_gaussian_forward_tomogram_keeps_small_temporaries():
+    # line-quadrature blocks of at most LINE_BLOCK_POINTS samples (64 KiB each)
+    density = GaussianDensity(mean_q=0.5, mean_p=-0.4, sigma_q=1.2, sigma_p=0.85, correlation=-0.3)
+    forward_tomogram(density, 0.6, 0.8)
+    tracemalloc.start()
+    try:
+        forward_tomogram(density, 0.6, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
 
 
 def test_forward_grid_density_matches_analytic():
@@ -513,24 +527,3 @@ def test_mean_position_requires_position_direction():
     tom = forward_tomogram(GaussianDensity(), 1.0, 1.0)
     with pytest.raises(InvalidDirectionError):
         tomogram_mean_position(tom)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def test_tomogram_csv_roundtrip(tmp_path):
-    tom = forward_tomogram(GaussianDensity(), 1.0, 1.0)
-    path = tmp_path / "tom.csv"
-    tom.to_csv(path)
-    back = Tomogram.from_csv(path, tom.mu, tom.nu)
-    assert np.max(np.abs(back.values - tom.values)) < 1e-15
-    assert np.max(np.abs(back.x - tom.x)) < 1e-15
-
-
-def test_tomogram_json_roundtrip():
-    tom = forward_tomogram(GaussianDensity(), 0.6, -0.8)
-    back = Tomogram.from_json_dict(tom.to_json_dict())
-    assert np.max(np.abs(back.values - tom.values)) == 0.0
-    assert back.mu == tom.mu and back.nu == tom.nu
