@@ -167,11 +167,26 @@ class GaussianDensity:
     def pdf(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Density evaluated elementwise on broadcastable q, p arrays."""
         sq, sp, r = self.sigma_q, self.sigma_p, self.correlation
-        dq = (np.asarray(q) - self.mean_q) / sq
-        dp = (np.asarray(p) - self.mean_p) / sp
-        quad = (dq * dq - 2.0 * r * dq * dp + dp * dp) / (1.0 - r * r)
-        norm = 2.0 * np.pi * sq * sp * np.sqrt(1.0 - r * r)
-        return np.exp(-0.5 * quad) / norm
+        # exp(-(dq^2 - 2 r dq dp + dp^2) / (2 (1 - r^2))) / norm, updated in
+        # place on broadcast-shaped arrays: the same operations in the same
+        # order as the plain expression, so the same roundings
+        if np.shape(q) != np.shape(p):
+            q, p = np.broadcast_arrays(q, p)
+        dq = np.subtract(q, self.mean_q, dtype=float)
+        dq /= sq
+        dp = np.subtract(p, self.mean_p, dtype=float)
+        dp /= sp
+        quad = dq * dq
+        dq *= 2.0 * r
+        dq *= dp
+        quad -= dq
+        dp *= dp
+        quad += dp
+        quad /= 1.0 - r * r
+        quad *= -0.5
+        quad = np.exp(quad)
+        quad /= 2.0 * np.pi * sq * sp * np.sqrt(1.0 - r * r)
+        return quad
 
     def projected_moments(self, mu: float, nu: float) -> tuple[float, float]:
         """Mean and variance of X = mu q + nu p."""
@@ -382,7 +397,12 @@ def _simpson_rows(y: np.ndarray, dx: float) -> np.ndarray:
     n = y.shape[-1]
     if n % 2 == 0:
         return y @ _simpson_weights(n, dx)
-    out = np.sum(y[..., 0 : n - 2 : 2] + 4.0 * y[..., 1 : n - 1 : 2] + y[..., 2:n:2], axis=-1)
+    # (y0 + 4 y1) + y2 formed as (4 y1 + y0) + y2 in one temporary; a sum of
+    # two terms does not depend on their order, so the roundings are scipy's
+    acc = 4.0 * y[..., 1 : n - 1 : 2]
+    acc += y[..., 0 : n - 2 : 2]
+    acc += y[..., 2:n:2]
+    out = np.sum(acc, axis=-1)
     out *= dx / 3.0
     return out
 
