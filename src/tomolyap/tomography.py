@@ -169,7 +169,9 @@ class GaussianDensity:
         sq, sp, r = self.sigma_q, self.sigma_p, self.correlation
         # exp(-(dq^2 - 2 r dq dp + dp^2) / (2 (1 - r^2))) / norm, updated in
         # place on broadcast-shaped arrays: the same operations in the same
-        # order as the plain expression, so the same roundings
+        # order as the plain expression, so the same roundings.  The line
+        # quadratures pass equal shapes, and skip the broadcast call, which
+        # costs about as much as one pass over a block.
         if np.shape(q) != np.shape(p):
             q, p = np.broadcast_arrays(q, p)
         dq = np.subtract(q, self.mean_q, dtype=float)
