@@ -299,7 +299,7 @@ def run_tomography(cfg: dict, record: dict, out: Path, args) -> str:
             "mean_p": mp,
         }
     if args.format in ("csv", "both"):
-        tomogram.to_csv(out / "tomogram.csv", float_fmt=FLOAT_FMT)
+        write_csv(out / "tomogram.csv", ["X", "w"], zip(tomogram.x, tomogram.values))
         record["series_file"] = "tomogram.csv"
     return (f"tomography (mu={cfg['mu']}, nu={cfg['nu']}): mean={record['mean']:.6f} "
             f"mass={record['mass']:.6f}")

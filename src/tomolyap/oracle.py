@@ -210,22 +210,18 @@ _LOOPS = {"standard_map": _standard_map_loop, "harmonic_kick": _harmonic_kick_lo
           "cat_map": _cat_map_loop}
 
 
-def tangent_map_lyapunov(spec: KickedMapSpec, n_steps: int, v: np.ndarray | None = None,
-                         warmup: int | None = None) -> float:
+def tangent_map_lyapunov(spec: KickedMapSpec, n_steps: int, v: np.ndarray | None = None) -> float:
     """Average log stretch of a transported tangent vector.
 
     The vector is renormalized every period and log factors accumulate, so
-    exponents of order one stay far from overflow over 1e4+ steps.  A warmup
-    prefix (default a tenth of the run) is discarded: by then the vector has
-    aligned with the leading direction and the average is transient-free.
-    It must leave at least one counted step: 0 <= warmup < n_steps.
+    exponents of order one stay far from overflow over 1e4+ steps.  The first
+    tenth of the run (n_steps // 10 steps) is a discarded warmup: by then the
+    vector has aligned with the leading direction and the average is
+    transient-free.
     """
     if n_steps < 100:
         raise ValidationError("need at least 100 steps")
-    if warmup is None:
-        warmup = n_steps // 10
-    if not 0 <= warmup < n_steps:
-        raise ValidationError(f"warmup must lie in [0, {n_steps}), got {warmup}")
+    warmup = n_steps // 10
     dim = spec.dim
     if v is None:
         v = np.zeros(dim)

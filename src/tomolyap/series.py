@@ -13,6 +13,8 @@ from typing import Any
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 @dataclass
 class DerivativeSeries:
@@ -34,7 +36,7 @@ class DerivativeSeries:
         self.g2 = np.asarray(self.g2, dtype=complex)
         self.g3 = np.asarray(self.g3, dtype=complex)
         if self.g2.ndim != 1 or self.g2.shape != self.g3.shape:
-            raise ValueError("g2 and g3 must be 1-d arrays of equal length")
+            raise ValidationError("g2 and g3 must be 1-d arrays of equal length")
         if self.probe_values is not None:
             self.probe_values = np.asarray(self.probe_values, dtype=complex)
 

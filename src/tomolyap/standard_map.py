@@ -194,11 +194,10 @@ class GField:
     A fresh field holds the data (v1 mu + v2 nu) exp(i(q0 mu + p0 nu)) at
     t = 0; the overall scale of G drops out of the exponent (a log-ratio), so
     the constant prefactor of the dipole perturbation is dropped.  `advance()`
-    steps it one period in place; `copy()` gives an independent field.
-    `value(j, k)` returns G(mu=j, nu=k tau) at the current time; after the
-    first step only the declared probe window (|j| <= keep_j, |k| <= keep_k)
-    is guaranteed by the cone bookkeeping and anything else raises
-    `ConeError`.
+    steps it one period in place.  `value(j, k)` returns G(mu=j, nu=k tau) at
+    the current time; after the first step only the declared probe window
+    (|j| <= keep_j, |k| <= keep_k) is guaranteed by the cone bookkeeping and
+    anything else raises `ConeError`.
 
     Only rows j = 0..J are stored, and each only over the columns its sweep
     touches in some period (`_cone_table`): the rows lie one after another
@@ -276,8 +275,14 @@ class GField:
                 np.multiply(params.v1 * j + v_k[a:b], phase, out=self._dev[base + a : base + b])
             # freed before the sweep's column vectors exist: the budget counts four
             del p_k, v_k
-        self._fcol = params.f(params.tau * self._k)
-        self._half_gamma_f = (params.gamma / 2.0) * self._fcol
+        fcol = params.f(params.tau * self._k)
+        self._half_gamma_f = (params.gamma / 2.0) * fcol
+        # the quantum kick's source column: f times, when p0 tau is an odd
+        # multiple of pi, the (-1)^k column sign of the carried part (the kick
+        # coefficient above carries no sign); column c holds k = c - K
+        if self._mb % 2:
+            fcol[(self.K + 1) % 2 :: 2] *= -1.0
+        self._source_f = fcol
         # the sweep's three row buffers, allocated once (after the fill's
         # temporaries are gone): fresh ones every period would be mapped and
         # faulted in again whenever the allocator returns their pages
@@ -289,8 +294,8 @@ class GField:
 
         The stored cells, three row buffers as wide as the widest stored
         row, the cone table, and four (2K + 1)-vectors of 8-byte entries:
-        the columns `_k`, `_fcol` and `_half_gamma_f`, and one period's kick
-        source.
+        the columns `_k`, `_source_f` and `_half_gamma_f`, and one period's
+        kick source.
         """
         return self._lattice_bytes
 
@@ -338,24 +343,6 @@ class GField:
     def probe_pair(self) -> tuple[complex, complex]:
         """The two derivative-iteration probes G(1, tau) and G(-1, -tau)."""
         return self.value(1, 1), self.value(-1, -1)
-
-    def dense_window(self, jmax: int, kmax: int) -> np.ndarray:
-        """Assembled G values for |j| <= jmax, |k| <= kmax (window-checked)."""
-        self._check_window(jmax, kmax)
-        j = np.arange(-jmax, jmax + 1)
-        k = np.arange(-kmax, kmax + 1)
-        out = np.zeros((j.size, k.size), dtype=complex)
-        if self.split:
-            par_t = self._kick_parity(self.t)
-            sign = np.where((par_t * j[:, None] + self._mb * k[None, :]) % 2, -1.0, 1.0)
-            out = (self.c_mu * j[:, None] + self.c_nu * self.params.tau * k[None, :]) * sign
-        if self._dev is not None:
-            half = np.empty((jmax + 1, k.size), dtype=self._dev.dtype)
-            for r in range(jmax + 1):
-                start = self._stored(r, -kmax, kmax)
-                half[r] = self._dev[start : start + k.size]
-            out = out + np.concatenate([-half[:0:-1, ::-1].conj(), half])
-        return out
 
     # -- evolution -------------------------------------------------------------
 
@@ -423,9 +410,7 @@ class GField:
         if self._dev is not None:
             source = None
             if need_source:
-                source = (sign * gamma * post_free_c_mu).real * self._fcol
-                if self._mb % 2:
-                    source = source * np.where(self._k % 2, -1.0, 1.0)
+                source = (sign * gamma * post_free_c_mu).real * self._source_f
             # overflow is caught through the probes (`run_standard_map`)
             with np.errstate(over="ignore", invalid="ignore"):
                 self._sweep(t, source, flip_odd_rows=bool(parity))
@@ -435,14 +420,6 @@ class GField:
             if params.classical:
                 self.c_nu = self.c_nu + sign * gamma * post_free_c_mu
         self.t = t
-
-    def copy(self) -> "GField":
-        clone = object.__new__(GField)
-        clone.__dict__.update(self.__dict__)
-        if self._dev is not None:
-            clone._dev = self._dev.copy()
-        clone._scratch = np.empty_like(self._scratch)
-        return clone
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +462,15 @@ def derivative_iteration(probes: np.ndarray, params: StandardMapParams,
 
 
 def run_standard_map(params: StandardMapParams, n_max: int,
-                     window: tuple[int, int] | None = None, mode: str = "auto",
-                     max_bytes: int = DEFAULT_MAX_BYTES) -> tuple[DerivativeSeries, ExponentEstimate]:
-    """Full pipeline: evolve the lattice, iterate derivatives, fit the rate.
+                     mode: str = "auto") -> tuple[DerivativeSeries, ExponentEstimate]:
+    """Full pipeline: evolve the lattice, iterate derivatives, fit the rate
+    over the estimator's default window.
 
     Raises `NumericalError` at the first period whose probes overflow; a
     derivative norm that overflows inside the fit window raises
     `DegenerateSeriesError` in the estimator.
     """
-    field = GField(params, n_max, mode=mode, max_bytes=max_bytes)
+    field = GField(params, n_max, mode=mode)
     probes = np.empty((n_max + 1, 2), dtype=complex)
     probes[0] = field.probe_pair()
     for t in range(1, n_max + 1):
@@ -502,7 +479,7 @@ def run_standard_map(params: StandardMapParams, n_max: int,
         if not (cmath.isfinite(pair[0]) and cmath.isfinite(pair[1])):
             raise NumericalError(f"lattice probes left the finite range at period {t}")
     series = derivative_iteration(probes, params, n_max)
-    return series, estimate_exponent(series, window=window)
+    return series, estimate_exponent(series)
 
 
 # ---------------------------------------------------------------------------
@@ -580,18 +557,17 @@ def classical_lyapunov(gamma: float) -> float:
     return float(np.log(max(abs(1.0 + gamma / 2.0 + root), abs(1.0 + gamma / 2.0 - root))))
 
 
-def hbar_resonance(params: StandardMapParams, max_denominator: int = 64,
-                   tol: float = 1e-9) -> tuple[int, int] | None:
+def hbar_resonance(params: StandardMapParams) -> tuple[int, int] | None:
     """Detect hbar tau / (4 pi) close to a small rational (resonant kicking).
 
-    Returns the (p, q) pair when |hbar tau/(4 pi) - p/q| <= tol with
-    q <= max_denominator, else None.  The generic (irrational) case is the
-    one the quantum engine is meant for.
+    Returns the (p, q) pair when |hbar tau/(4 pi) - p/q| <= 1e-9 with
+    q <= 64, else None.  The generic (irrational) case is the one the
+    quantum engine is meant for.
     """
     if params.classical:
         return None
     x = params.hbar * params.tau / (4.0 * np.pi)
-    frac = Fraction(x).limit_denominator(max_denominator)
-    if abs(x - float(frac)) <= tol:
+    frac = Fraction(x).limit_denominator(64)
+    if abs(x - float(frac)) <= 1e-9:
         return frac.numerator, frac.denominator
     return None

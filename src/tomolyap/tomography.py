@@ -22,12 +22,14 @@ Conventions
 * Wave functions carry their own hbar; X = mu q + nu p throughout.
 
 Default grids: 256 X points spanning 8 pooled standard deviations on either
-side of the mean, and 64 projection angles; both overridable per call.
+side of the mean, and 64 projection angles.  A single tomogram also takes a
+point count or an explicit uniform grid; a family always uses one grid wide
+enough for all its directions, and a reconstruction the family's X window.
 
-Cost: a Gaussian tomogram integrates 2001 line points per X, and a gridded
-density one point per half grid step across its diagonal; both sweep blocks
-of X rows holding at most `LINE_BLOCK_POINTS` line points (4 rows at 2001),
-so every temporary stays within 64 KiB.  That is below glibc's mmap
+Cost: a Gaussian tomogram integrates `GAUSSIAN_LINE_POINTS` (2001) line
+points per X, and a gridded density one point per half grid step across its
+diagonal; both sweep blocks of X rows holding at most `LINE_BLOCK_POINTS`
+line points (4 rows at 2001), so every temporary stays within 64 KiB.  That is below glibc's mmap
 threshold, so the blocks reuse freed heap memory instead of faulting in a
 fresh mapping each time: a 64-direction Gaussian family takes under 20 minor
 page faults in a fresh process.  A pure-state tomogram is one chirp-z
@@ -35,18 +37,16 @@ transform of the N wave-function samples onto the M X points, computed by
 Bluestein's algorithm with one zero-padded FFT convolution:
 O((N + M) log(N + M)) rather than N M complex exponentials.
 
-Imports: numpy only.  The line quadratures use `_simpson_rows`, which for
-an odd number of points (every internal caller's) is scipy's composite
-Simpson expression and bit for bit `scipy.integrate.simpson`; gridded
-densities are read by `GridDensity.pdf`, a bilinear interpolation that
-agrees with scipy's `RegularGridInterpolator` to roundoff.  Tomogram moments
-and pure-state tomograms use `_simpson_weights`, the same rule as a weight
-vector.
+Imports: numpy only.  The line quadratures use `_simpson_rows`, which on
+their odd numbers of points is scipy's composite Simpson expression and bit
+for bit `scipy.integrate.simpson`; gridded densities are read by
+`GridDensity.pdf`, a bilinear interpolation that agrees with scipy's
+`RegularGridInterpolator` to roundoff.  Tomogram moments and pure-state
+tomograms use `_simpson_weights`, the same rule as a weight vector.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -63,10 +63,14 @@ DEFAULT_X_POINTS = 256
 DEFAULT_DIRECTIONS = 64
 SUPPORT_SIGMAS = 8.0
 
+#: Line points of a Gaussian tomogram, within 10 standard deviations either
+#: side of each line's centre (odd, as `_simpson_rows` needs).
+GAUSSIAN_LINE_POINTS = 2001
+
 #: Line points per block of the line quadratures: a block holds
-#: max(1, LINE_BLOCK_POINTS // n_line) X rows, so each float64 temporary
-#: stays within 64 KiB.  Larger temporaries cross glibc's mmap threshold and
-#: are mapped and zero-faulted anew on every block.
+#: max(1, LINE_BLOCK_POINTS // points per line) X rows, so each float64
+#: temporary stays within 64 KiB.  Larger temporaries cross glibc's mmap
+#: threshold and are mapped and zero-faulted anew on every block.
 LINE_BLOCK_POINTS = 8192
 
 #: Allowance for quadrature jitter when validating nonnegative data.
@@ -103,12 +107,6 @@ def _simpson_weights(n: int, dx: float) -> np.ndarray:
     return w
 
 
-def _check_n_line(n_line: int) -> None:
-    # Simpson needs three points; two would integrate the 10-sigma line ends only
-    if n_line < 3:
-        raise ValidationError(f"n_line must be at least 3, got {n_line}")
-
-
 def _check_direction(mu: float, nu: float) -> float:
     """Length of a usable direction (mu, nu): finite and not the zero vector."""
     if not np.isfinite([mu, nu]).all():
@@ -119,19 +117,16 @@ def _check_direction(mu: float, nu: float) -> float:
     return r
 
 
-def resolve_grid(spec, center: float, width: float, n_default: int = DEFAULT_X_POINTS) -> np.ndarray:
+def resolve_grid(spec, center: float, width: float) -> np.ndarray:
     """Turn a grid spec into an array of sample points.
 
-    Accepts None (default window around `center`), an integer point count,
-    an (lo, hi, n) tuple, or an explicit array.
+    Accepts None (`DEFAULT_X_POINTS` points over center +- width), an integer
+    point count over the same window, or an explicit uniform array.
     """
     if spec is None:
-        return np.linspace(center - width, center + width, n_default)
+        spec = DEFAULT_X_POINTS
     if isinstance(spec, int):
         return np.linspace(center - width, center + width, spec)
-    if isinstance(spec, tuple) and len(spec) == 3:
-        lo, hi, n = spec
-        return np.linspace(float(lo), float(hi), int(n))
     arr = np.asarray(spec, dtype=float)
     _require_uniform(arr, "x grid")
     return arr
@@ -273,15 +268,14 @@ PhaseSpaceDensity = Union[GaussianDensity, GridDensity]
 class WignerGrid:
     """Wigner function on a uniform (q, p) grid; values may be negative.
 
-    Normalized so that the grid sum times the cell area is 1 (within
-    `norm_tol`); this is the probability convention used by the shared
-    reconstruction pipeline.
+    Normalized so that the grid sum times the cell area is 1 within 1e-2,
+    the quadrature accuracy of the shared reconstruction pipeline, whose
+    probability convention this is.
     """
 
     q: np.ndarray
     p: np.ndarray
     values: np.ndarray
-    norm_tol: float = 1e-4
 
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=float)
@@ -292,8 +286,8 @@ class WignerGrid:
         if self.values.shape != (self.q.size, self.p.size):
             raise ValidationError("values must have shape (len(q), len(p))")
         mass = float(self.values.sum() * self.dq * self.dp)
-        if not abs(mass - 1.0) <= self.norm_tol:
-            raise ValidationError(f"Wigner mass {mass:.8g} deviates from 1 beyond {self.norm_tol:g}")
+        if not abs(mass - 1.0) <= 1e-2:
+            raise ValidationError(f"Wigner mass {mass:.8g} deviates from 1 beyond 0.01")
 
     def mass(self) -> float:
         return float(self.values.sum() * self.dq * self.dp)
@@ -337,13 +331,15 @@ class WaveFunction:
 
 @dataclass
 class Tomogram:
-    """Marginal distribution of X = mu q + nu p sampled on a uniform X grid."""
+    """Marginal distribution of X = mu q + nu p sampled on a uniform X grid.
+
+    Its Simpson mass must be 1 within 1e-4.
+    """
 
     x: np.ndarray
     values: np.ndarray
     mu: float
     nu: float
-    norm_tol: float = 1e-4
 
     def __post_init__(self) -> None:
         self.x = np.asarray(self.x, dtype=float)
@@ -357,8 +353,8 @@ class Tomogram:
         if np.min(self.values) < -NEGATIVITY_JITTER:
             raise ValidationError(f"tomogram has negative values (min {np.min(self.values):g})")
         mass = self.mass()
-        if not abs(mass - 1.0) <= self.norm_tol:
-            raise ValidationError(f"tomogram mass {mass:.8g} deviates from 1 beyond {self.norm_tol:g}")
+        if not abs(mass - 1.0) <= 1e-4:
+            raise ValidationError(f"tomogram mass {mass:.8g} deviates from 1 beyond 0.0001")
 
     def mass(self) -> float:
         return float(_simpson_weights(self.x.size, self.dx) @ self.values)
@@ -371,18 +367,6 @@ class Tomogram:
         w = _simpson_weights(self.x.size, self.dx)
         return float(w @ (self.values * (self.x - m) ** 2) / self.mass())
 
-    def theta(self) -> float:
-        return float(np.arctan2(self.nu, self.mu))
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path, float_fmt: str = "%.17g") -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["X", "w"])
-            for xi, wi in zip(self.x, self.values):
-                writer.writerow([float_fmt % xi, float_fmt % wi])
-
 
 # ---------------------------------------------------------------------------
 # forward map
@@ -390,15 +374,13 @@ class Tomogram:
 
 
 def _simpson_rows(y: np.ndarray, dx: float) -> np.ndarray:
-    """Simpson's rule along the last axis of `y`, for samples `dx` apart.
+    """Simpson's rule along the last axis of `y`, for an odd number of
+    samples `dx` apart.
 
-    Odd n is the composite rule written as `scipy.integrate.simpson` writes
-    it, so the sums are bit for bit scipy's; even n applies
-    `_simpson_weights`, which agrees with scipy to roundoff.
+    The composite rule written as `scipy.integrate.simpson` writes it, so the
+    sums are bit for bit scipy's.
     """
     n = y.shape[-1]
-    if n % 2 == 0:
-        return y @ _simpson_weights(n, dx)
     # (y0 + 4 y1) + y2 formed as (4 y1 + y0) + y2 in one temporary; a sum of
     # two terms does not depend on their order, so the roundings are scipy's
     acc = 4.0 * y[..., 1 : n - 1 : 2]
@@ -429,14 +411,13 @@ def _line_quadrature(pdf, xhat: np.ndarray, mu_u: float, nu_u: float, s: np.ndar
     return out
 
 
-def _line_quadrature_gaussian(density: GaussianDensity, xhat: np.ndarray, mu_u: float, nu_u: float,
-                              n_line: int) -> np.ndarray:
-    # n_line points within 10 standard deviations either side of the line's centre
+def _line_quadrature_gaussian(density: GaussianDensity, xhat: np.ndarray, mu_u: float,
+                              nu_u: float) -> np.ndarray:
     tangent = np.array([-nu_u, mu_u])
     var_t = float(tangent @ density.covariance() @ tangent)
     s_center = float((np.array([density.mean_q, density.mean_p]) @ tangent))
     half = 10.0 * np.sqrt(var_t)
-    s = np.linspace(s_center - half, s_center + half, n_line)
+    s = np.linspace(s_center - half, s_center + half, GAUSSIAN_LINE_POINTS)
     return _line_quadrature(density.pdf, xhat, mu_u, nu_u, s)
 
 
@@ -454,8 +435,7 @@ def _line_quadrature_grid(density: GridDensity, xhat: np.ndarray, mu_u: float, n
     return _line_quadrature(density.pdf, xhat, mu_u, nu_u, s)
 
 
-def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,
-                     x_grid=None, n_line: int = 2001) -> Tomogram:
+def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float, x_grid=None) -> Tomogram:
     """Marginal distribution of X = mu q + nu p by direct line integration.
 
     The delta constraint is integrated along the line itself (arc-length
@@ -465,10 +445,10 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,
 
     Densities are validated at construction, so any density accepted here is
     normalized; the output is normalized in X to quadrature accuracy.
-    `n_line` (at least 3) is the number of line points for a Gaussian
-    density; a gridded density sets its own.
+    `x_grid` is as `resolve_grid` takes it.  A Gaussian density takes
+    `GAUSSIAN_LINE_POINTS` line points, a gridded density one per half grid
+    step.
     """
-    _check_n_line(n_line)
     r = _check_direction(mu, nu)
     mu_u, nu_u = mu / r, nu / r
 
@@ -477,7 +457,7 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,
     xhat = x / r
 
     if isinstance(density, GaussianDensity):
-        w_unit = _line_quadrature_gaussian(density, xhat, mu_u, nu_u, n_line)
+        w_unit = _line_quadrature_gaussian(density, xhat, mu_u, nu_u)
     elif isinstance(density, GridDensity):
         w_unit = _line_quadrature_grid(density, xhat, mu_u, nu_u)
     else:
@@ -485,23 +465,19 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float,
     return Tomogram(x, w_unit / r, mu, nu)
 
 
-def gaussian_tomogram_family(density: PhaseSpaceDensity, n_directions: int = DEFAULT_DIRECTIONS,
-                             x_grid=None, n_line: int = 2001) -> list[Tomogram]:
-    """Tomograms over theta_i = i pi / n on a common X grid (for inversion)."""
-    _check_n_line(n_line)
-    if x_grid is None:
-        # one grid wide enough for every direction
-        widths = []
-        for th in np.arange(n_directions) * np.pi / n_directions:
-            m, v = density.projected_moments(np.cos(th), np.sin(th))
-            widths.append((m - SUPPORT_SIGMAS * np.sqrt(v), m + SUPPORT_SIGMAS * np.sqrt(v)))
-        lo = min(w[0] for w in widths)
-        hi = max(w[1] for w in widths)
-        x_grid = np.linspace(lo, hi, DEFAULT_X_POINTS)
+def gaussian_tomogram_family(density: PhaseSpaceDensity,
+                             n_directions: int = DEFAULT_DIRECTIONS) -> list[Tomogram]:
+    """Tomograms over theta_i = i pi / n on one X grid wide enough for every
+    direction (for inversion)."""
+    widths = []
+    for th in np.arange(n_directions) * np.pi / n_directions:
+        m, v = density.projected_moments(np.cos(th), np.sin(th))
+        widths.append((m - SUPPORT_SIGMAS * np.sqrt(v), m + SUPPORT_SIGMAS * np.sqrt(v)))
+    x_grid = np.linspace(min(w[0] for w in widths), max(w[1] for w in widths), DEFAULT_X_POINTS)
     out = []
     for i in range(n_directions):
         th = i * np.pi / n_directions
-        out.append(forward_tomogram(density, np.cos(th), np.sin(th), x_grid=x_grid, n_line=n_line))
+        out.append(forward_tomogram(density, np.cos(th), np.sin(th), x_grid=x_grid))
     return out
 
 
@@ -570,25 +546,25 @@ def pure_state_tomogram(psi: WaveFunction, mu: float, nu: float, x_grid=None) ->
     return Tomogram(x, values, mu, nu)
 
 
-def pure_state_tomogram_family(psi: WaveFunction, n_directions: int = DEFAULT_DIRECTIONS,
-                               x_grid=None) -> list[Tomogram]:
-    """Pure-state tomograms over theta_i = (i + 1/2) pi / n on a common grid.
+def pure_state_tomogram_family(psi: WaveFunction,
+                               n_directions: int = DEFAULT_DIRECTIONS) -> list[Tomogram]:
+    """Pure-state tomograms over theta_i = (i + 1/2) pi / n on one grid wide
+    enough for every direction.
 
     The half-step offset keeps every direction away from nu = 0 (which the
     pure-state quadrature cannot represent) while remaining an equally spaced
     family over [0, pi) as the reconstruction requires.
     """
     thetas = (np.arange(n_directions) + 0.5) * np.pi / n_directions
-    if x_grid is None:
-        my, vy = psi.position_moments()
-        mp, vp = psi.momentum_moments()
-        lo = min(np.cos(t) * my + np.sin(t) * mp
-                 - SUPPORT_SIGMAS * np.sqrt(np.cos(t) ** 2 * vy + np.sin(t) ** 2 * vp)
-                 for t in thetas)
-        hi = max(np.cos(t) * my + np.sin(t) * mp
-                 + SUPPORT_SIGMAS * np.sqrt(np.cos(t) ** 2 * vy + np.sin(t) ** 2 * vp)
-                 for t in thetas)
-        x_grid = np.linspace(lo, hi, DEFAULT_X_POINTS)
+    my, vy = psi.position_moments()
+    mp, vp = psi.momentum_moments()
+    lo = min(np.cos(t) * my + np.sin(t) * mp
+             - SUPPORT_SIGMAS * np.sqrt(np.cos(t) ** 2 * vy + np.sin(t) ** 2 * vp)
+             for t in thetas)
+    hi = max(np.cos(t) * my + np.sin(t) * mp
+             + SUPPORT_SIGMAS * np.sqrt(np.cos(t) ** 2 * vy + np.sin(t) ** 2 * vp)
+             for t in thetas)
+    x_grid = np.linspace(lo, hi, DEFAULT_X_POINTS)
     return [pure_state_tomogram(psi, np.cos(t), np.sin(t), x_grid=x_grid) for t in thetas]
 
 
@@ -636,7 +612,7 @@ def _ramp_kernel(n: int, dx: float) -> np.ndarray:
     return h
 
 
-def _filtered_backprojection(tomograms: Sequence[Tomogram], q_grid, p_grid
+def _filtered_backprojection(tomograms: Sequence[Tomogram]
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shared reconstruction core: the (q, p) grids and the back-projected values.
 
@@ -645,7 +621,7 @@ def _filtered_backprojection(tomograms: Sequence[Tomogram], q_grid, p_grid
     again without renormalizing, so its mass is about 1.0001-1.0005 on the
     tested families and is checked to 1e-2 only.
 
-    Both grids default to the X window of the family.  Per direction:
+    Both grids span the family's X window with as many points.  Per direction:
     convolve the marginal with the band-limited ramp filter (computed as a
     linear convolution on a zero-extended grid so the filtered tails cover
     every back-projection point), then accumulate along X0 = q cos t + p sin t
@@ -653,8 +629,8 @@ def _filtered_backprojection(tomograms: Sequence[Tomogram], q_grid, p_grid
     """
     x, thetas, ws = _validate_family(tomograms)
     center, half_width = 0.5 * float(x[0] + x[-1]), 0.5 * float(x[-1] - x[0])
-    q = resolve_grid(q_grid, center, half_width, x.size)
-    p = resolve_grid(p_grid, center, half_width, x.size)
+    q = np.linspace(center - half_width, center + half_width, x.size)
+    p = q.copy()
     n = x.size
     dx = x[1] - x[0]
     # extend so that |X0| <= max radius of the output grid is always covered
@@ -679,14 +655,14 @@ def _filtered_backprojection(tomograms: Sequence[Tomogram], q_grid, p_grid
     return q, p, out * dtheta
 
 
-def inverse_tomogram(tomograms: Sequence[Tomogram], q_grid=None, p_grid=None) -> GridDensity:
+def inverse_tomogram(tomograms: Sequence[Tomogram]) -> GridDensity:
     """Reconstruct the phase-space density from a half-circle of marginals.
 
     Small negative back-projection ripple (below 1 percent of the peak) is
     clamped to zero; anything larger indicates inadequate sampling and raises.
     The result is normalized within 1e-2 by quadrature accuracy.
     """
-    q, p, values = _filtered_backprojection(tomograms, q_grid, p_grid)
+    q, p, values = _filtered_backprojection(tomograms)
     peak = float(values.max())
     if peak <= 0:
         raise ValidationError("reconstruction produced no positive values")
@@ -696,12 +672,12 @@ def inverse_tomogram(tomograms: Sequence[Tomogram], q_grid=None, p_grid=None) ->
     return GridDensity(q, p, values, norm_tol=1e-2)
 
 
-def wigner_from_tomogram(tomograms: Sequence[Tomogram], q_grid=None, p_grid=None) -> WignerGrid:
+def wigner_from_tomogram(tomograms: Sequence[Tomogram]) -> WignerGrid:
     """Reconstruct the Wigner function; numerically identical pipeline to
     `inverse_tomogram` but negative values are kept (Wigner functions may be
     negative) and the output is normalized to unit mass within 1e-2."""
-    q, p, values = _filtered_backprojection(tomograms, q_grid, p_grid)
-    return WignerGrid(q, p, values, norm_tol=1e-2)
+    q, p, values = _filtered_backprojection(tomograms)
+    return WignerGrid(q, p, values)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,13 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import jv
 
-from tomolyap.errors import NumericalError, ValidationError
+from tomolyap.errors import NumericalError
 from tomolyap.oracle import KickedMapSpec
 from tomolyap.standard_map import StandardMapParams, _pi_multiple, lattice_extents
 from tomolyap.tomography import GaussianDensity, WaveFunction
 
 
-def tangent_map_lyapunov_by_steps(spec: KickedMapSpec, n_steps: int, v=None,
-                                   warmup: int | None = None) -> float:
+def tangent_map_lyapunov_by_steps(spec: KickedMapSpec, n_steps: int, v=None) -> float:
     """Tangent-map exponent from numpy 2-/4-vectors and `spec.step`/`spec.jacobian`.
 
     The oracle's loop as it was before each family got a scalar loop: the
@@ -30,10 +29,7 @@ def tangent_map_lyapunov_by_steps(spec: KickedMapSpec, n_steps: int, v=None,
     matrix product and renormalized by `np.linalg.norm`, and the state by
     `spec.step`.  Same checks, in the same order, with the same messages.
     """
-    if warmup is None:
-        warmup = n_steps // 10
-    if not 0 <= warmup < n_steps:
-        raise ValidationError(f"warmup must lie in [0, {n_steps}), got {warmup}")
+    warmup = n_steps // 10
     if v is None:
         v = np.zeros(spec.dim)
         v[0] = 1.0

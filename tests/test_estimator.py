@@ -157,6 +157,14 @@ def test_bad_window_rejected():
         estimate_exponent(series_from_norms(np.ones(32)), window=(20, 10))
 
 
+@pytest.mark.parametrize("g2, g3", [(np.ones(4), np.ones(5)), (np.ones((2, 2)), np.ones((2, 2)))],
+                         ids=["unequal-length", "two-d"])
+def test_mismatched_derivative_series_is_a_validation_error(g2, g3):
+    # a typed error, so the CLI exits 3 instead of printing a traceback
+    with pytest.raises(ValidationError, match="equal length"):
+        DerivativeSeries(g2, g3)
+
+
 def test_running_estimate_needs_four_points():
     with pytest.raises(ValidationError):
         running_estimate(series_from_norms(np.ones(3)))

@@ -177,12 +177,6 @@ def test_tangent_vector_validation():
         tangent_map_lyapunov(spec, 200, v=np.ones(3))
 
 
-@pytest.mark.parametrize("warmup", [-1, 100, 150])
-def test_warmup_outside_run_rejected(warmup):
-    with pytest.raises(ValidationError):
-        tangent_map_lyapunov(KickedMapSpec.standard_map(1.0), 100, warmup=warmup)
-
-
 @pytest.mark.parametrize("build, name", [
     (lambda: KickedMapSpec.standard_map(np.nan), "gamma"),
     (lambda: KickedMapSpec.standard_map(1.0, tau=np.inf), "tau"),

@@ -111,7 +111,7 @@ def test_blocked_gaussian_line_quadrature_is_bit_equal_to_full_array(theta):
     density = GaussianDensity(mean_q=0.5, mean_p=-0.4, sigma_q=1.2, sigma_p=0.85, correlation=-0.3)
     xhat = np.linspace(-7.0, 6.5, 257)
     mu_u, nu_u = np.cos(theta), np.sin(theta)
-    blocked = _line_quadrature_gaussian(density, xhat, mu_u, nu_u, 2001)
+    blocked = _line_quadrature_gaussian(density, xhat, mu_u, nu_u)
     assert np.array_equal(blocked, tomogram_by_line_quadrature(density, xhat, mu_u, nu_u, 2001))
 
 
@@ -155,16 +155,6 @@ def test_grid_density_rejects_unnormalized():
     vals = np.full((64, 64), 1.0)
     with pytest.raises(ValidationError):
         GridDensity(q, q, vals)
-
-
-@pytest.mark.parametrize("n_line", [0, 1, 2])
-def test_too_few_line_points_rejected(n_line):
-    # 0 and 1 used to fail with an IndexError, 2 to integrate to mass ~1e-21
-    density = GaussianDensity()
-    with pytest.raises(ValidationError, match="n_line"):
-        forward_tomogram(density, 1.0, 0.5, n_line=n_line)
-    with pytest.raises(ValidationError, match="n_line"):
-        gaussian_tomogram_family(density, n_directions=4, n_line=n_line)
 
 
 def test_tomogram_rejects_zero_direction():
@@ -362,22 +352,6 @@ def test_simpson_rows_equal_scipy_for_odd_n(n):
     assert np.array_equal(_simpson_rows(y, 0.037), simpson(y, dx=0.037, axis=1))
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 256, 2000])
-def test_simpson_rows_match_scipy_for_even_n(n):
-    y = np.random.default_rng(n).normal(size=(9, n))
-    ref = simpson(y, dx=0.037, axis=1)
-    scale = 0.037 * np.sum(np.abs(y), axis=1)
-    assert np.all(np.abs(_simpson_rows(y, 0.037) - ref) <= 1e-14 * scale)
-
-
-def test_gaussian_line_quadrature_even_n_line_matches_scipy_simpson():
-    density = GaussianDensity(mean_q=0.3, sigma_q=1.1, sigma_p=0.7, correlation=0.2)
-    xhat = np.linspace(-6.0, 6.0, 101)
-    ref = tomogram_by_line_quadrature(density, xhat, 0.6, 0.8, 2000)
-    got = _line_quadrature_gaussian(density, xhat, 0.6, 0.8, 2000)
-    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(ref)
-
-
 def test_grid_density_pdf_matches_regular_grid_interpolator():
     q = np.linspace(-4.0, 4.0, 81)
     p = np.linspace(-3.0, 5.0, 61)
@@ -457,7 +431,7 @@ def test_pure_state_rejects_under_resolved_chirp():
     assert abs(pure_state_tomogram(psi, np.cos(2 * theta), np.sin(2 * theta)).mass() - 1) < 1e-4
 
 
-@pytest.mark.parametrize("x_grid", [1, (0.0, 1.0, 1)])
+@pytest.mark.parametrize("x_grid", [1, [0.5]])
 def test_pure_state_rejects_single_point_x_grid(x_grid):
     with pytest.raises(ValidationError):
         pure_state_tomogram(ground_state(), 0.6, 0.8, x_grid=x_grid)
