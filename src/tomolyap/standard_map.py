@@ -43,22 +43,31 @@ bit, what a sweep of the whole lattice would hold.
 
 There is one lattice, float64 in split mode and complex128 in direct mode.
 The J x K box (`lattice_extents`) has (J + 1)(2K + 1) = O(n^3) cells in
-rows j >= 0, but a sweep reads or writes only about a third of them (8 %
-in any one period), so each row stores only the columns its sweep touches
-in some period (`_cone_table`), the rows one after another in one flat
-array: 2,717,107 of 8,243,221 cells at n = 200.  Each period is swept in
-place, row by row, over the per-row column hull of the backward cone only,
-keeping three rows of scratch; a table of those hulls, for the rows
-j >= -1 the sweep reads, is built once.
+rows j >= 0.  The sweep touches about a third of them over the run (period
+1 alone reads 2.72M of the 8.24M at n = 200; the average period reads 8 %),
+so each row stores only the cells its sweep touches in some period
+(`_cone_table`), the rows one after another in one flat array: 2,717,007
+cells at n = 200.  Rows are stored in comoving columns: after period t,
+lattice column c of row j sits at x = c + j t.  Free flight
+G[j, k] <- G[j, k + j] keeps x, so it moves no data, and each period is
+one kick, swept in place row by row over the per-row post-kick hull of the
+backward cone (a table of those hulls is built once).  Each row's
+neighbour difference is formed before its lower neighbour is overwritten,
+so two scratch rows suffice and no row is copied.  The sweep runs on
+float64 in both modes: a direct-mode cell is a (re, im) pair, and the real
+kick coefficient and the additions act on each part alone.  That gives
+complex arithmetic's values and could differ from it only in the sign of
+a zero, so the tests compare probes byte for byte with a complex sweep.
 Time is proportional to the swept half of the cone, O(n^4): about half of
 the 2.75e8 cells of the probe pair's cone at n = 200.  `GField.lattice_bytes`
-is the whole allocation (stored cells, row buffers, hull table, four column
-vectors) and is what the memory budget is checked against; at n = 200 in
-split mode it is about 24 MB (46 MB in direct mode), within 0.3 % of the
-traced peak.  All of it is resident: numpy asks for transparent huge pages
-on arrays this large, so the kernel backs untouched cells too, which a
-whole-box lattice paid for in full (62 of 66 MB in huge pages after five
-periods at n = 200).
+is the run's whole allocation (stored cells, scratch rows, hull table,
+column vectors, and the Python objects of the sweep and the probe history)
+and is what the memory budget is checked against; at n = 200 it is about
+23 MB in split mode and 45 MB in direct mode, within 0.1 % of the traced
+peak, and within 1 % of it down to n = 20.  All of it is resident: numpy
+asks for transparent huge pages on arrays this large, so the kernel backs
+untouched cells too, which a whole-box lattice paid for in full (62 of
+66 MB in huge pages after five periods at n = 200).
 
 The evolution is linear, and phased-linear fields
 
@@ -157,12 +166,16 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int,
     build runs over all rows -J..J, but the sweep of the stored half reads
     only rows j >= -1, so only those are kept, row j at index j + 1.
 
-    Also returned, for each stored row j = 0..J, is the column range
-    [lo, hi] the sweep touches over the whole run (lo > hi if none): the
-    union, over periods, of the columns it reads (pre-kick hull + j) and
-    writes (post-kick hull).  The row above is read inside its own pre-kick
-    hull, and the cone is point-symmetric, so row 1 read as the mirror of
-    pre-kick row -1 stays inside row 1's own pre-kick read.
+    Also returned, for each stored row j = 0..J, is the range [lo, hi] of
+    comoving columns x = c + j t the sweep touches over the whole run (lo > hi
+    if none), where c is the lattice column after period t.  Free flight
+    keeps x: pre-kick column c of period t is post-kick column c + j of
+    period t - 1.  Row j is read and written over its own post-kick hull and
+    read over those of rows j - 1 and j + 1, so the range is the union, over
+    periods, of the pre-kick hull shifted by j t, except in row 0: row -1 is
+    not swept, so row 0 is not read over row -1's post-kick hull.  The cone
+    is point-symmetric, so row 1 read as the mirror of pre-kick row -1 over
+    row 0's post-kick hull stays inside row 1's own pre-kick hull.
     """
     rows, cols = 2 * J + 1, 2 * K + 1
     j = np.arange(-J, J + 1)
@@ -175,16 +188,18 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int,
     for t in range(n_max, 0, -1):
         np.minimum(lo[keep_rows], K - keep[1], out=lo[keep_rows])
         np.maximum(hi[keep_rows], K + keep[1], out=hi[keep_rows])
-        np.minimum(store_lo, lo[J:], out=store_lo)
-        np.maximum(store_hi, hi[J:], out=store_hi)
         pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo), lo_pad[2:])
         pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi), hi_pad[2:])
         table[t - 1] = pre_lo[J - 1 :], pre_hi[J - 1 :], lo[J - 1 :], hi[J - 1 :]
         filled = pre_lo <= pre_hi
+        shift = j[J:] * t
+        read_lo = np.where(filled[J:], pre_lo[J:] + shift, cols)
+        read_hi = np.where(filled[J:], pre_hi[J:] + shift, -1)
+        read_lo[0], read_hi[0] = min(lo[J], lo[J + 1]), max(hi[J], hi[J + 1])
+        np.minimum(store_lo, read_lo, out=store_lo)
+        np.maximum(store_hi, read_hi, out=store_hi)
         np.copyto(lo, np.where(filled, pre_lo + j, cols))
         np.copyto(hi, np.where(filled, pre_hi + j, -1))
-        np.minimum(store_lo, lo[J:], out=store_lo)
-        np.maximum(store_hi, hi[J:], out=store_hi)
     return table, store_lo, store_hi
 
 
@@ -199,16 +214,17 @@ class GField:
     (|j| <= keep_j, |k| <= keep_k) is guaranteed by the cone bookkeeping and
     anything else raises `ConeError`.
 
-    Only rows j = 0..J are stored, and each only over the columns its sweep
-    touches in some period (`_cone_table`): the rows lie one after another
-    in one flat array, row j at `_offset[j]` up to `_offset[j + 1]`, with
-    lattice column c at flat index `_base[j] + c`.  A read of a cell that is not stored raises
-    `ConeError`, at t = 0 too; a split field whose deviation is still
-    identically zero (`_dev is None`) answers anywhere in the J x K box.
-    Rows j < 0 are read through the symmetry G(-j, -k) = -conj G(j, k),
-    which the initial data has and which free flight, the real odd kick
-    coefficient and, in split mode, the real odd carried part all preserve
-    (see the module docstring).
+    Only rows j = 0..J are stored, in comoving columns: after period t,
+    lattice column c of row j sits at flat index `_base[j] + j t + c`, so
+    free flight moves no data.  Each row holds only the comoving columns its
+    sweep touches in some period (`_cone_table`), the rows one after another
+    in one flat array, row j at `_offset[j]` up to `_offset[j + 1]`.  A read
+    of a cell that is not stored raises `ConeError`, at t = 0 too; a split
+    field whose deviation is still identically zero (`_dev is None`)
+    answers anywhere in the J x K box.  Rows j < 0 are read through the
+    symmetry G(-j, -k) = -conj G(j, k), which the initial data has and which
+    free flight, the real odd kick coefficient and, in split mode, the real
+    odd carried part all preserve (see the module docstring).
     """
 
     def __init__(self, params: StandardMapParams, n_max: int,
@@ -233,69 +249,103 @@ class GField:
             raise ValidationError("split mode needs q0 and p0*tau to be multiples of pi")
         self.split = splittable if mode == "auto" else (mode == "split")
 
-        # the split deviation stays real: carried part, kick and source are real
-        dtype = np.dtype(float if self.split else complex)
-        cols = 2 * self.K + 1
-        table_bytes = self.n_max * 4 * (self.J + 2) * np.dtype(np.int32).itemsize
-        vector_bytes = 4 * cols * np.dtype(float).itemsize
-        if table_bytes + vector_bytes > max_bytes:
-            raise ResourceError(
-                f"the cone table and four column vectors of a {dtype} lattice need "
-                f"{table_bytes + vector_bytes} bytes, exceeding the budget of {max_bytes}")
-        self._cone, lo, hi = _cone_table(self.n_max, self.keep, self.J, self.K)
-        width = np.maximum(hi - lo + 1, 0)
-        offset = np.zeros(self.J + 2, dtype=np.int64)
-        np.cumsum(width, out=offset[1:])
-        # row j holds lattice columns c = lo[j]..hi[j] at flat indices base[j] + c
-        self._offset, self._base = offset.tolist(), (offset[:-1] - lo).tolist()
-        cells, widest = self._offset[-1], int(width.max())
-        self._lattice_bytes = (cells + 3 * widest) * dtype.itemsize + table_bytes + vector_bytes
-        if self._lattice_bytes > max_bytes:
-            raise ResourceError(
-                f"lattice of {cells} {dtype} cells (rows 0..{self.J} over the backward "
-                f"cone) with three row buffers, four column vectors and the cone table "
-                f"needs {self._lattice_bytes} bytes, exceeding the budget of {max_bytes}")
-
-        self._k = np.arange(-self.K, self.K + 1)
         if self.split:
             self._m0, self._mb = m0, mb
             self.c_mu = complex(params.v1)
             self.c_nu = complex(params.v2)
-            # deviation lattice: identically zero until a quantum kick sources it
-            self._dev: np.ndarray | None = None
         else:
             self._m0 = self._mb = 0
             self.c_mu = self.c_nu = 0.0 + 0.0j
+
+        # the split deviation stays real: carried part, kick and source are
+        # real; the sweep runs on float64 in both modes, a direct-mode cell
+        # being a (re, im) pair of floats
+        dtype = np.dtype(float if self.split else complex)
+        pair = dtype.itemsize // 8
+        J, cols = self.J, 2 * self.K + 1
+        # split: kick coefficients, source column and one period's source;
+        # direct: the kick coefficients repeated per (re, im) pair
+        vector_bytes = (3 if self.split else 2) * cols * 8
+        table_bytes = self.n_max * 4 * (J + 2) * 4
+        # the two difference rows are at most as wide as the box
+        early = table_bytes + vector_bytes + 2 * cols * dtype.itemsize
+        if early > max_bytes:
+            raise ResourceError(
+                f"the cone table with the column vectors and two row buffers of a {dtype} "
+                f"lattice needs up to {early} bytes, exceeding the budget of {max_bytes}")
+        table, lo, hi = _cone_table(self.n_max, self.keep, J, self.K)
+        # the sweep reads only the post-kick hulls of rows 0..J, kept as
+        # [start, stop) in floats of the float64 view of the lattice
+        post = table[:, 2:, 1:] * pair
+        post[:, 1] += pair
+        del table
+        width = np.maximum(hi - lo + 1, 0)
+        offset = np.zeros(J + 2, dtype=np.int64)
+        np.cumsum(width, out=offset[1:])
+        # row j holds comoving columns x = lo[j]..hi[j] at flat indices base[j] + x
+        self._offset, self._base = offset, (offset[:-1] - lo).tolist()
+        cells, widest = int(offset[-1]), int((post[:, 1] - post[:, 0]).max())
+        # the row origins and one period's two hull lists (a 56-byte header per
+        # list, a pointer and an int object per entry), the probe history of
+        # `run_standard_map`, and about 3 KB of other Python objects: array
+        # headers and views, the field's attributes, each period's error state
+        objects = 3 * (56 + 36 * (J + 1)) + (self.n_max + 1) * 2 * 16 + 3 * 1024
+        self._lattice_bytes = (cells * dtype.itemsize + 2 * widest * 8 + post.nbytes
+                               + offset.nbytes + vector_bytes + objects)
+        if self._lattice_bytes > max_bytes:
+            raise ResourceError(
+                f"lattice of {cells} {dtype} cells (rows 0..{J} over the backward "
+                f"cone) with two row buffers, the column vectors and the hull table "
+                f"needs {self._lattice_bytes} bytes, exceeding the budget of {max_bytes}")
+        self._post = post
+
+        fcol = params.f(params.tau * np.arange(-self.K, self.K + 1))
+        half_gamma_f = (params.gamma / 2.0) * fcol
+        if self.split:
+            # the quantum kick's source column: f times, when p0 tau is an odd
+            # multiple of pi, the (-1)^k column sign of the carried part (the
+            # kick coefficient carries no sign); column c holds k = c - K
+            if self._mb % 2:
+                fcol[(self.K + 1) % 2 :: 2] *= -1.0
+            self._half_gamma_f, self._source_f = half_gamma_f, fcol
+        else:
+            self._half_gamma_f, self._source_f = np.repeat(half_gamma_f, 2), None
+        # direct mode frees both before its lattice exists: the budget counts two
+        del fcol, half_gamma_f
+
+        if self.split:
+            # deviation lattice: identically zero until a quantum kick sources it
+            self._dev: np.ndarray | None = None
+        else:
             self._dev = np.empty(cells, dtype=dtype)
-            p_k = params.p0 * params.tau * self._k
-            v_k = params.v2 * params.tau * self._k
-            for j, base in enumerate(self._base):
-                a, b = self._offset[j] - base, self._offset[j + 1] - base
-                phase = np.exp(1j * (params.q0 * j + p_k[a:b]))
-                np.multiply(params.v1 * j + v_k[a:b], phase, out=self._dev[base + a : base + b])
-            # freed before the sweep's column vectors exist: the budget counts four
-            del p_k, v_k
-        fcol = params.f(params.tau * self._k)
-        self._half_gamma_f = (params.gamma / 2.0) * fcol
-        # the quantum kick's source column: f times, when p0 tau is an odd
-        # multiple of pi, the (-1)^k column sign of the carried part (the kick
-        # coefficient above carries no sign); column c holds k = c - K
-        if self._mb % 2:
-            fcol[(self.K + 1) % 2 :: 2] *= -1.0
-        self._source_f = fcol
-        # the sweep's three row buffers, allocated once (after the fill's
-        # temporaries are gone): fresh ones every period would be mapped and
-        # faulted in again whenever the allocator returns their pages
-        self._scratch = np.empty((3, widest), dtype=dtype)
+            p_tau, v_tau = params.p0 * params.tau, params.v2 * params.tau
+            for j, (a, b) in enumerate(zip(lo.tolist(), (hi + 1).tolist())):
+                if a < b:
+                    # (v1 j + v2 tau k) exp(i(q0 j + p0 tau k)), formed in the row
+                    row = self._dev[offset[j] : offset[j + 1]]
+                    arg = p_tau * np.arange(a - self.K, b - self.K, dtype=float)
+                    arg += params.q0 * j
+                    np.multiply(1j, arg, out=row)
+                    np.exp(row, out=row)
+                    amp = np.multiply(v_tau, np.arange(a - self.K, b - self.K, dtype=float),
+                                      out=arg)
+                    amp += params.v1 * j
+                    row *= amp
+        # the sweep's two difference rows, allocated once: fresh ones every
+        # period would be mapped and faulted in again whenever the allocator
+        # returns their pages
+        self._scratch = np.empty((2, widest))
 
     @property
     def lattice_bytes(self) -> int:
-        """Bytes the evolution allocates at most.
+        """Bytes a run of this field allocates at most.
 
-        The stored cells, three row buffers as wide as the widest stored
-        row, the cone table, and four (2K + 1)-vectors of 8-byte entries:
-        the columns `_k`, `_source_f` and `_half_gamma_f`, and one period's
-        kick source.
+        The stored cells; two difference rows as wide as the widest post-kick
+        hull; the post-kick hull table; the row offsets and origins; three
+        (2K + 1)-vectors of floats (in split mode the kick coefficients, the
+        source column and one period's source; in direct mode the kick
+        coefficients repeated per (re, im) pair); one period's hull lists;
+        and the (n_max + 1) x 2 complex probe history of `run_standard_map`.
         """
         return self._lattice_bytes
 
@@ -323,11 +373,12 @@ class GField:
 
     def _stored(self, j: int, k_lo: int, k_hi: int) -> int:
         """Flat index of G(j, k_lo), j >= 0; cells k_lo..k_hi must be stored."""
-        zero = self._base[j] + self.K
-        if zero + k_lo < self._offset[j] or zero + k_hi >= self._offset[j + 1]:
+        zero = self._base[j] + j * self.t + self.K
+        first, end = int(self._offset[j]), int(self._offset[j + 1])
+        if zero + k_lo < first or zero + k_hi >= end:
             raise ConeError(
                 f"cells ({j}, {k_lo}..{k_hi}) outside the stored backward cone "
-                f"(row {j} holds k = {self._offset[j] - zero}..{self._offset[j + 1] - zero - 1})")
+                f"(row {j} holds k = {first - zero}..{end - zero - 1})")
         return zero + k_lo
 
     def value(self, j: int, k: int) -> complex:
@@ -347,48 +398,56 @@ class GField:
     # -- evolution -------------------------------------------------------------
 
     def _sweep(self, t: int, source: np.ndarray | None, flip_odd_rows: bool) -> None:
-        """Free flight and kick of period t, in place, over the backward cone.
+        """Kick of period t, in place, over the backward cone.
 
-        Rows j = 0..J go in ascending order; lattice column c of row j sits
-        at flat index `base[j] + c`.  Row j's pre-kick values (old row j read
-        at k + j) are copied to `pre` before row j is overwritten; the row
-        below, already overwritten, is read from its copy `below`, and the
-        row above is still old and is read in place at k + j + 1.  Row 0's
-        lower neighbour is pre-kick row -1, the mirror of old row 1:
-        pre_{-1}[k] = old[-1, k - 1] = -conj old[1, 1 - k].  It is copied into
-        `below` before the loop, while row 1 is still old.
+        Free flight is already done: in comoving columns the pre-kick value
+        of row j at lattice column c is the post-kick value of period t - 1
+        at column c + j, and both sit at flat index base[j] + j t + c.  Rows
+        j = 0..J go in ascending order on the float64 view of the lattice,
+        where a direct-mode cell is a (re, im) pair: flat indices, hull
+        bounds and kick coefficients all come in pairs, and the same real
+        operations act on both parts.  Before row j is overwritten it forms
+        row j + 1's difference pre[j + 2] - pre[j] in one scratch row; row j
+        then takes its own difference, formed a row earlier in the other:
+        d *= (gamma/2) f, row += d, then the source.  Row 0's difference
+        reads pre-kick row -1, the mirror of row 1: pre[-1][c] =
+        -conj pre[1][2K - c], formed on whole (complex) cells.
         """
-        dev, base, J, K = self._dev, self._base, self.J, self.K
-        pre, below, diff = self._scratch
-        pre_lo, pre_hi, post_lo, post_hi = self._cone[t - 1].tolist()
-        # the hull table has rows j = -1..J at index j + 1; lattice column c
-        # holds k = c - K, so k -> 1 - k takes column c to 2K + 1 - c
-        below_lo, below_hi = pre_lo[0], pre_hi[0]
-        mirror = below[: below_hi - below_lo + 1]
-        flip = base[1] + 2 * K + 1
-        np.negative(dev[flip - below_hi : flip + 1 - below_lo][::-1], out=mirror)
-        if not self.split:
-            np.conjugate(mirror, out=mirror)
-        for j in range(J + 1):
-            lo, hi = pre_lo[j + 1], pre_hi[j + 1]
-            if lo > hi:
-                continue
-            row = base[j]
-            np.copyto(pre[: hi - lo + 1], dev[row + lo + j : row + hi + j + 1])
-            a, b = post_lo[j + 1], post_hi[j + 1] + 1
+        dev, base, coef = self._dev, self._base, self._half_gamma_f
+        pair = dev.itemsize // 8
+        flat = dev.view(float)
+        diff, ahead = self._scratch
+        starts, stops = self._post[t - 1].tolist()
+        a, b = starts[0] // pair, stops[0] // pair
+        if a < b:
+            # whole cells: pre[1][c] is at one + c, and pre[-1][c] reads it at flip - c
+            one = base[1] + t
+            flip = one + 2 * self.K
+            mirror = ahead.view(dev.dtype)[: b - a]
+            np.negative(dev[flip - b + 1 : flip - a + 1][::-1], out=mirror)
+            if not self.split:
+                np.conjugate(mirror, out=mirror)
+            np.subtract(dev[one + a : one + b], mirror, out=diff.view(dev.dtype)[: b - a])
+        row = base[0] * pair
+        # row J's post-kick hull is empty in every period (`lattice_extents`)
+        for j in range(self.J):
+            a, b = starts[j + 1], stops[j + 1]
+            if a < b:
+                up = (base[j + 2] + (j + 2) * t) * pair
+                np.subtract(flat[up + a : up + b], flat[row + a : row + b], out=ahead[: b - a])
+            a, b = starts[j], stops[j]
             if a < b:
                 d = diff[: b - a]
-                up = base[j + 1] + j + 1
-                np.subtract(dev[up + a : up + b], below[a - below_lo : b - below_lo], out=d)
-                np.multiply(self._half_gamma_f[a:b], d, out=d)
-                out = dev[row + a : row + b]
-                np.add(pre[a - lo : b - lo], d, out=out)
+                np.multiply(d, coef[a:b], out=d)
+                out = flat[row + a : row + b]
+                np.add(out, d, out=out)
                 if source is not None:
                     if flip_odd_rows and j % 2:
                         out -= source[a:b]
                     else:
                         out += source[a:b]
-            pre, below, below_lo = below, pre, lo
+            diff, ahead = ahead, diff
+            row = (base[j + 1] + (j + 1) * t) * pair
 
     def advance(self) -> None:
         """Advance one full period in place (free flight, then kick)."""
@@ -403,7 +462,7 @@ class GField:
         post_free_c_mu = self.c_mu + tau * self.c_nu if self.split else self.c_mu
         need_source = self.split and not params.classical and post_free_c_mu != 0.0
         if need_source and self._dev is None:
-            self._dev = np.zeros(self._offset[-1], dtype=float)
+            self._dev = np.zeros(int(self._offset[-1]), dtype=float)
         parity = self._kick_parity(t)
         sign = -1.0 if parity else 1.0
 
@@ -478,6 +537,7 @@ def run_standard_map(params: StandardMapParams, n_max: int,
         probes[t] = pair = field.probe_pair()
         if not (cmath.isfinite(pair[0]) and cmath.isfinite(pair[1])):
             raise NumericalError(f"lattice probes left the finite range at period {t}")
+    del field
     series = derivative_iteration(probes, params, n_max)
     return series, estimate_exponent(series)
 
