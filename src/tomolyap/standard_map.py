@@ -184,7 +184,6 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int,
     # post-kick hulls of rows -J..J, between one empty row on either side
     lo_pad, hi_pad = np.full(rows + 2, cols), np.full(rows + 2, -1)
     lo, hi = lo_pad[1:-1], hi_pad[1:-1]
-    store_lo, store_hi = np.full(J + 1, cols), np.full(J + 1, -1)
     for t in range(n_max, 0, -1):
         np.minimum(lo[keep_rows], K - keep[1], out=lo[keep_rows])
         np.maximum(hi[keep_rows], K + keep[1], out=hi[keep_rows])
@@ -192,14 +191,17 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int,
         pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi), hi_pad[2:])
         table[t - 1] = pre_lo[J - 1 :], pre_hi[J - 1 :], lo[J - 1 :], hi[J - 1 :]
         filled = pre_lo <= pre_hi
-        shift = j[J:] * t
-        read_lo = np.where(filled[J:], pre_lo[J:] + shift, cols)
-        read_hi = np.where(filled[J:], pre_hi[J:] + shift, -1)
-        read_lo[0], read_hi[0] = min(lo[J], lo[J + 1]), max(hi[J], hi[J + 1])
-        np.minimum(store_lo, read_lo, out=store_lo)
-        np.maximum(store_hi, read_hi, out=store_hi)
         np.copyto(lo, np.where(filled, pre_lo + j, cols))
         np.copyto(hi, np.where(filled, pre_hi + j, -1))
+    # comoving pre-kick hulls of rows 0..J, period t in row t - 1
+    shift = np.arange(1, n_max + 1)[:, None] * np.arange(J + 1)
+    pre_lo, pre_hi = table[:, 0, 1:], table[:, 1, 1:]
+    filled = pre_lo <= pre_hi
+    store_lo = np.where(filled, pre_lo + shift, cols).min(axis=0)
+    store_hi = np.where(filled, pre_hi + shift, -1).max(axis=0)
+    # row 0 is read over its own and row 1's post-kick hulls only
+    store_lo[0] = table[:, 2, 1:3].min()
+    store_hi[0] = table[:, 3, 1:3].max()
     return table, store_lo, store_hi
 
 
