@@ -27,6 +27,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .floquet import (
     harmonic_lyapunov,
     verify_quadratic_deformation_vanishes,
 )
-from .oracle import KickedMapSpec, tangent_map_lyapunov
+from .oracle import CatMap, HarmonicKick, KickedMapSpec, StandardMap, tangent_map_lyapunov
 from .standard_map import (
     StandardMapParams,
     classical_lyapunov,
@@ -247,20 +248,20 @@ def run_standard_map_cmd(cfg: dict, record: dict, out: Path, args) -> str:
             f"estimate={estimate.slope:.6f} ({estimate.classification})")
 
 
+# --map choice: (map class, label format over the config)
+ORACLE_MAPS = {
+    "standard": (StandardMap, "standard_map(gamma={gamma}, tau={tau})"),
+    "harmonic": (HarmonicKick, "harmonic_kick(z={z})"),
+    "cat": (CatMap, "cat_map({variant})"),
+}
+
+
 def run_oracle(cfg: dict, record: dict, out: Path, args) -> str:
-    if cfg["map"] == "standard":
-        spec = KickedMapSpec.standard_map(cfg["gamma"], cfg["tau"], cfg["q0"], cfg["p0"])
-        label = f"standard_map(gamma={cfg['gamma']}, tau={cfg['tau']})"
-        read = ("gamma", "tau", "q0", "p0")
-    elif cfg["map"] == "harmonic":
-        spec = KickedMapSpec.harmonic_kick(cfg["z"], cfg["q0"], cfg["p0"])
-        label = f"harmonic_kick(z={cfg['z']})"
-        read = ("z", "q0", "p0")
-    else:
-        spec = KickedMapSpec.cat_map(CatVariant(cfg["variant"]))
-        label = f"cat_map({cfg['variant']})"
-        read = ("variant",)
-    # echo only the parameters the chosen map reads
+    cls, label_format = ORACLE_MAPS[cfg["map"]]
+    label = label_format.format(**cfg)
+    # the chosen map's fields that the config holds: the parameters it reads
+    read = [f.name for f in fields(cls) if f.name in cfg]
+    spec = cls(**{k: cfg[k] for k in read})
     record["params"] = {k: v for k, v in cfg.items() if k in ("map", "steps", *read)}
     lam = tangent_map_lyapunov(spec, cfg["steps"])
     record["lambda"] = lam

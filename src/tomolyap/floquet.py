@@ -142,7 +142,7 @@ def harmonic_derivative_series(z: float, n_periods: int, v1: float = 1.0,
         eps_dot = vec[1]
         g2[t] = v1 * eps.real + v2 * eps.imag
         g3[t] = v1 * eps_dot.real + v2 * eps_dot.imag
-    return DerivativeSeries(g2, g3, params={"kind": "harmonic_kick", "z": z, "v": (v1, v2)})
+    return DerivativeSeries(g2, g3)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ one :class:`DerivativeSeries`; the exponent estimator consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -29,7 +28,6 @@ class DerivativeSeries:
 
     g2: np.ndarray
     g3: np.ndarray
-    params: Any = None
     probe_values: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -42,9 +40,6 @@ class DerivativeSeries:
 
     def __len__(self) -> int:
         return self.g2.shape[0]
-
-    def times(self) -> np.ndarray:
-        return np.arange(len(self))
 
     def norms(self) -> np.ndarray:
         """Euclidean norm of the complex pair at each time.

@@ -131,10 +131,6 @@ class StandardMapParams:
             return nu
         return (2.0 / self.hbar) * np.sin(0.5 * self.hbar * nu)
 
-    def to_dict(self) -> dict:
-        return {name: float(getattr(self, name))
-                for name in ("gamma", "tau", "hbar", "q0", "p0", "v1", "v2")}
-
 
 def lattice_extents(n_max: int, keep: tuple[int, int] = (1, 1)) -> tuple[int, int]:
     """Half-extents (J, K) containing the backward cone of the probe window.
@@ -519,7 +515,7 @@ def derivative_iteration(probes: np.ndarray, params: StandardMapParams,
     for t in range(n_max):
         g2[t + 1] = g2[t] + params.tau * g3[t]
         g3[t + 1] = g3[t] + half_gamma * (probes[t, 0] - probes[t, 1])
-    return DerivativeSeries(g2, g3, params=params, probe_values=probes[: n_max + 1, 0].copy())
+    return DerivativeSeries(g2, g3, probe_values=probes[: n_max + 1, 0].copy())
 
 
 def run_standard_map(params: StandardMapParams, n_max: int,
@@ -599,7 +595,7 @@ def classical_closed_form_series(gamma: float, v1: float, v2: float, n_max: int)
     g3 = np.empty(n_max + 1, dtype=complex)
     for n in range(n_max + 1):
         g2[n], g3[n] = classical_closed_form(gamma, v1, v2, n)
-    return DerivativeSeries(g2, g3, params={"kind": "classical_closed_form", "gamma": gamma})
+    return DerivativeSeries(g2, g3)
 
 
 def classical_lyapunov(gamma: float) -> float:

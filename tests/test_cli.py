@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -80,6 +81,10 @@ def test_oracle_run(tmp_path):
     assert "standard_map" in csv_text
 
 
+ORACLE_LABELS = {"standard": "standard_map(gamma=2.0, tau=1.0)", "harmonic": "harmonic_kick(z=5.0)",
+                 "cat": "cat_map(kick_only)"}
+
+
 @pytest.mark.parametrize("map_name, keys", [
     ("standard", ["map", "gamma", "tau", "q0", "p0", "steps"]),
     ("harmonic", ["map", "z", "q0", "p0", "steps"]),
@@ -90,6 +95,8 @@ def test_oracle_records_only_the_parameters_its_map_reads(tmp_path, map_name, ke
                 "--out", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "oracle_result.json").read_text())
     assert list(record["params"]) == keys
+    rows = list(csv.reader((tmp_path / "oracle_result.csv").read_text().splitlines()))
+    assert rows[1][:2] == [ORACLE_LABELS[map_name], "500"]
 
 
 def test_tomography_run(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,8 @@ from tomolyap import (
     monodromy_at_fixed_point,
     tangent_map_lyapunov,
 )
+from tomolyap.oracle import CatMap, HarmonicKick, StandardMap
+
 from oracles import tangent_map_lyapunov_by_steps
 
 LAMBDA_GOLDEN = 0.9624236501192069
@@ -157,7 +161,7 @@ def test_scalar_loops_match_step_loop_on_regular_orbits(spec):
     KickedMapSpec.harmonic_kick(5.0, q0=0.1),
     KickedMapSpec.harmonic_kick(1e8, q0=1.0),
     KickedMapSpec.standard_map(1e300, q0=1.0),
-    KickedMapSpec("cat_map", variant=CatVariant.H1, initial=(1e300, 0.0, 0.0, 1e300)),
+    CatMap(CatVariant.H1, initial=(1e300, 0.0, 0.0, 1e300)),
 ], ids=["harmonic-738", "harmonic-huge-z", "standard-huge-gamma", "cat-huge-state"])
 def test_scalar_loops_fail_as_step_loop(spec):
     with pytest.raises(NumericalError) as ref:
@@ -183,8 +187,8 @@ def test_tangent_vector_validation():
     (lambda: KickedMapSpec.standard_map(1.0, q0=np.nan), "initial"),
     (lambda: KickedMapSpec.harmonic_kick(np.inf), "z"),
     (lambda: KickedMapSpec.harmonic_kick(5.0, p0=-np.inf), "initial"),
-    (lambda: KickedMapSpec("standard_map", gamma=-np.inf), "gamma"),
-    (lambda: KickedMapSpec("harmonic_kick", z=np.nan), "z"),
+    (lambda: StandardMap(gamma=-np.inf), "gamma"),
+    (lambda: HarmonicKick(z=np.nan), "z"),
 ], ids=["standard-gamma", "standard-tau", "standard-q0", "harmonic-z", "harmonic-p0",
         "spec-gamma", "spec-z"])
 def test_non_finite_spec_parameters_rejected(build, name):
@@ -210,8 +214,12 @@ def test_cat_flow_built_once_and_read_only(monkeypatch):
         jac[0, 0] = 0.0
 
 
-def test_spec_validation():
-    with pytest.raises(ValidationError):
-        KickedMapSpec("rotor")
-    with pytest.raises(ValidationError):
-        KickedMapSpec("cat_map")
+def test_each_map_holds_only_the_parameters_it_reads():
+    maps = {"standard": KickedMapSpec.standard_map(1.0),
+            "harmonic": KickedMapSpec.harmonic_kick(5.0),
+            "cat": KickedMapSpec.cat_map(CatVariant.H1)}
+    assert {name: [f.name for f in dataclasses.fields(spec)] for name, spec in maps.items()} == {
+        "standard": ["gamma", "tau", "q0", "p0"],
+        "harmonic": ["z", "q0", "p0"],
+        "cat": ["variant", "initial"],
+    }
