@@ -19,7 +19,6 @@ from .errors import (
 from .estimator import ExponentEstimate, estimate_exponent, running_estimate
 from .floquet import (
     CatVariant,
-    EpsilonState,
     FloquetMatrix,
     QuadraticModel,
     build_cat_model,
@@ -27,13 +26,12 @@ from .floquet import (
     floquet_lambda,
     harmonic_derivative_series,
     harmonic_floquet_eigenvalues,
-    harmonic_kick_recurrence,
     harmonic_lyapunov,
     propagate_tomogram_params,
     verify_quadratic_deformation_vanishes,
 )
 from .hilbert import quantum_probes
-from .oracle import KickedMapSpec, monodromy_at_fixed_point, tangent_map_lyapunov
+from .oracle import KickedMapSpec, tangent_map_lyapunov
 from .series import DerivativeSeries
 from .standard_map import (
     GField,

@@ -2,9 +2,9 @@
 
 The exponent is the large-time growth rate of ``ln ||(g2(t), g3(t))||``.  A
 finite run only ever sees a window of that limit, so the estimate is a
-least-squares slope over a tail window, with a zero/positive classification
-that is robust against the polynomial prefactors produced by non-chaotic
-dynamics.
+least-squares slope over the last half of the series, with a zero/positive
+classification that is robust against the polynomial prefactors produced by
+non-chaotic dynamics.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ def _classify(slope: float, stderr: float) -> str:
     return "positive" if slope > 0 else "negative"
 
 
-def estimate_exponent(series: DerivativeSeries, window: tuple[int, int] | None = None) -> ExponentEstimate:
-    """Least-squares growth rate of the log norm over a tail window.
+def estimate_exponent(series: DerivativeSeries) -> ExponentEstimate:
+    """Least-squares growth rate of the log norm over the last half.
 
-    ``window`` is an inclusive index pair (t_lo, t_hi); the default takes the
-    last half of the series.  Norms must be strictly positive on the window.
+    The fit window is the inclusive index pair (t_max // 2, t_max), with
+    t_max = len(series) - 1; it is returned as `ExponentEstimate.window`.
+    Norms must be strictly positive and finite on the window.
     """
     n = len(series)
     if n < MIN_SERIES_LENGTH:
@@ -66,12 +67,8 @@ def estimate_exponent(series: DerivativeSeries, window: tuple[int, int] | None =
     norms = series.norms()
     if not np.any(norms > 0):
         raise DegenerateSeriesError("all norms are zero")
-    t_max = n - 1
-    if window is None:
-        window = (t_max // 2, t_max)
-    t_lo, t_hi = int(window[0]), int(window[1])
-    if not (0 <= t_lo < t_hi <= t_max):
-        raise ValidationError(f"window {window} outside series range [0, {t_max}]")
+    t_hi = n - 1
+    t_lo = t_hi // 2
     w = norms[t_lo : t_hi + 1]
     if np.any(w == 0):
         raise DegenerateSeriesError("zero norm inside the fit window")

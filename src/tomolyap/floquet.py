@@ -43,31 +43,6 @@ SYMPLECTIC_TOL = 1e-10
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EpsilonState:
-    """Coefficients of the inter-kick solution eps(t) = a + b t after n kicks.
-
-    The Wronskian Im(conj(a) b) equals 1 for the initial data (1, i) and is
-    conserved by the (real, unit-determinant) kick recurrence; in floating
-    point the conservation holds relative to the product |a| |b|, which grows
-    in the hyperbolic regime.
-    """
-
-    a: complex
-    b: complex
-    n: int
-
-    def wronskian(self) -> float:
-        return float(np.imag(np.conj(self.a) * self.b))
-
-    def eps(self) -> complex:
-        """eps evaluated at the state's own (post-kick) time t = n."""
-        return self.a + self.b * self.n
-
-    def eps_dot(self) -> complex:
-        return self.b
-
-
 def harmonic_kick_matrix(z: float, n: int) -> np.ndarray:
     """Coefficient update for the kick at integer time n (unit determinant)."""
     return np.array([[1.0 + z * n, z * n * n], [-z, 1.0 - z * n]])
@@ -76,25 +51,6 @@ def harmonic_kick_matrix(z: float, n: int) -> np.ndarray:
 def _require_finite_z(z: float) -> None:
     if not np.isfinite(z):
         raise ValidationError("z must be finite")
-
-
-def _kicked_coefficients(z: float, n: int):
-    """(a, b) after t = 0..n kicks of the free solution (1, i), as 2-vectors."""
-    vec = np.array([1.0 + 0.0j, 1.0j])
-    yield vec
-    for m in range(1, n + 1):
-        vec = harmonic_kick_matrix(z, m) @ vec
-        yield vec
-
-
-def harmonic_kick_recurrence(z: float, n: int) -> EpsilonState:
-    """Apply the kick recurrence n times to the free solution (a, b) = (1, i)."""
-    _require_finite_z(z)
-    if n < 0:
-        raise ValidationError("kick count must be nonnegative")
-    for vec in _kicked_coefficients(z, n):
-        pass
-    return EpsilonState(complex(vec[0]), complex(vec[1]), n)
 
 
 def harmonic_floquet_matrix(z: float) -> np.ndarray:
@@ -123,21 +79,31 @@ def harmonic_derivative_series(z: float, n_periods: int, v1: float = 1.0,
                                v2: float = 1.0) -> DerivativeSeries:
     """Derivative pair driven by a perturbation along (v1, v2).
 
-    The propagated perturbation symbol is the initial one evaluated at
-    parameters transported by eps, so the derivatives at the origin are
+    Between kicks the classical equation has the complex solution
+    eps(t) = a + b t.  From the free solution (a, b) = (1, i), the kick at
+    integer time t maps (a, b) by `harmonic_kick_matrix(z, t)`, which is real
+    with unit determinant, so the Wronskian Im(conj(a) b) = 1 is conserved; in
+    floating point it holds relative to |a| |b|, which grows in the hyperbolic
+    regime.  The propagated perturbation symbol is the initial one evaluated
+    at parameters transported by eps, so the derivatives at the origin are
 
         g2(t) = v1 Re eps(t) + v2 Im eps(t)
         g3(t) = v1 Re eps_dot(t) + v2 Im eps_dot(t)
 
-    sampled just after each kick.  Feeding this into the exponent estimator
-    recovers `harmonic_lyapunov(z)` in the hyperbolic regime.
+    sampled just after each kick, with eps_dot(t) = b.  The directions (1, 0)
+    and (0, 1) return the real and imaginary parts of eps and eps_dot.
+    Feeding the series into the exponent estimator recovers
+    `harmonic_lyapunov(z)` in the hyperbolic regime.
     """
     _require_finite_z(z)
     if n_periods < 1:
         raise ValidationError("need at least one period")
     g2 = np.empty(n_periods + 1, dtype=complex)
     g3 = np.empty(n_periods + 1, dtype=complex)
-    for t, vec in enumerate(_kicked_coefficients(z, n_periods)):
+    vec = np.array([1.0 + 0.0j, 1.0j])
+    for t in range(n_periods + 1):
+        if t:
+            vec = harmonic_kick_matrix(z, t) @ vec
         eps = vec[0] + vec[1] * t
         eps_dot = vec[1]
         g2[t] = v1 * eps.real + v2 * eps.imag
@@ -212,7 +178,6 @@ class FloquetMatrix:
     """One-period (or n-period) parameter transport matrix, symplectic."""
 
     matrix: np.ndarray
-    n_kicks: int
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=float)
@@ -332,7 +297,7 @@ def floquet_lambda(model: QuadraticModel, n_kicks: int) -> FloquetMatrix:
         raise ValidationError("n_kicks must be nonnegative")
     s = symplectic_form(model.dimension)
     one = _expm(s @ model.b0 * model.tau) @ _expm(s @ model.bk)
-    return FloquetMatrix(np.linalg.matrix_power(one, n_kicks), n_kicks)
+    return FloquetMatrix(np.linalg.matrix_power(one, n_kicks))
 
 
 def propagate_tomogram_params(model: QuadraticModel, n_kicks: int,
@@ -361,23 +326,6 @@ def propagate_tomogram_params(model: QuadraticModel, n_kicks: int,
 def cat_lyapunov(variant: CatVariant) -> float:
     """Lyapunov exponent of a cat variant: ln(spectral radius) of one period."""
     return float(np.log(floquet_lambda(build_cat_model(variant), 1).spectral_radius()))
-
-
-def kick_only_inverse_block(n: int) -> np.ndarray:
-    """Closed form for the upper 2x2 block of Lambda^-1(n+) of KICK_ONLY.
-
-    Validated against direct matrix powers (the authoritative route):
-
-        (1/sqrt5) [[w^(-2n-1) + w^(2n+1),  w^(-2n) - w^(2n)],
-                   [w^(-2n)   - w^(2n),    w^(-2n+1) + w^(2n-1)]]
-
-    with w the golden ratio.  It reduces to the identity at n = 0.
-    """
-    w = GOLDEN_RATIO
-    return np.array([
-        [w ** (-2 * n - 1) + w ** (2 * n + 1), w ** (-2 * n) - w ** (2 * n)],
-        [w ** (-2 * n) - w ** (2 * n), w ** (-2 * n + 1) + w ** (2 * n - 1)],
-    ]) / np.sqrt(5.0)
 
 
 # ---------------------------------------------------------------------------

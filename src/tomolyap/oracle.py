@@ -31,8 +31,9 @@ numpy's BLAS forms the matrix-vector product and the norm with fused
 multiply-adds, which Python floats lack, and `np.log` is not correctly
 rounded everywhere.  Exponents at the fixed points come out equal, or within
 a few ulps where the stretch keeps changing (cat variant h1), and at chaotic
-points within about 1e-15 relative.  Each class's `step` and `jacobian` stay
-for `monodromy_at_fixed_point` and for checks.
+points within about 1e-15 relative.  Each class's `step` and `jacobian` are
+the numpy reference the loops are checked against; at a fixed point,
+`jacobian` is the monodromy.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class KickedMapSpec:
     def cat_map(variant: CatVariant) -> "CatMap":
         return CatMap(variant)
 
-    def _displacement(self, state: np.ndarray) -> np.ndarray:
-        return self.step(state) - state
-
 
 @dataclass(frozen=True)
 class StandardMap(KickedMapSpec):
@@ -109,12 +107,6 @@ class StandardMap(KickedMapSpec):
     def jacobian(self, state: np.ndarray) -> np.ndarray:
         c = self.gamma * np.cos(np.asarray(state, dtype=float)[0])
         return np.array([[1.0 + self.tau * c, self.tau], [c, 1.0]])
-
-    def _displacement(self, state: np.ndarray) -> np.ndarray:
-        delta = self.step(state) - state
-        # position lives on the circle
-        delta[0] = (delta[0] + np.pi) % TWO_PI - np.pi
-        return delta
 
     def _log_stretch_sum(self, v: list[float], state: list[float], n_steps: int, warmup: int) -> float:
         gamma, tau = self.gamma, self.tau
@@ -261,18 +253,3 @@ def tangent_map_lyapunov(spec: KickedMapSpec, n_steps: int, v: np.ndarray | None
         raise ValidationError("tangent vector must be nonzero")
     total = spec._log_stretch_sum((v / norm).tolist(), [float(x) for x in spec.initial], n_steps, warmup)
     return total / (n_steps - warmup)
-
-
-def monodromy_at_fixed_point(spec: KickedMapSpec, tol: float = 1e-12) -> np.ndarray:
-    """Per-period tangent matrix at a fixed point of the period map.
-
-    Raises unless the spec's initial point is fixed to within `tol`; its
-    log spectral radius is then the exponent `tangent_map_lyapunov` converges
-    to from that point.
-    """
-    state = np.asarray(spec.initial, dtype=float)
-    delta = spec._displacement(state)
-    if np.max(np.abs(delta)) > tol:
-        raise ValidationError(
-            f"initial point {tuple(state)} is not fixed (moves by {np.max(np.abs(delta)):g})")
-    return spec.jacobian(state)

@@ -484,8 +484,7 @@ class GField:
 # ---------------------------------------------------------------------------
 
 
-def derivative_iteration(probes: np.ndarray, params: StandardMapParams,
-                         n_max: int | None = None) -> DerivativeSeries:
+def derivative_iteration(probes: np.ndarray, params: StandardMapParams) -> DerivativeSeries:
     """Evolve the origin derivatives from the probe history.
 
     ``probes[t]`` holds (G(1, tau, t), G(-1, -tau, t)) at post-kick times, as
@@ -497,25 +496,24 @@ def derivative_iteration(probes: np.ndarray, params: StandardMapParams,
         g2[t+1] = g2[t] + tau g3[t]
         g3[t+1] = g3[t] + (gamma/2) (G(1, tau, t) - G(-1, -tau, t))
 
-    starting from (g2, g3)(0) = (v1, v2).  The same iteration holds for the
-    exact quantum kick sum_m J_m(gamma f(nu)) G(mu + m, nu): at the origin
-    J_m(0) = delta_m0 and only J_{+-1}'(0) = +-1/2 contribute to d/dnu.
+    starting from (g2, g3)(0) = (v1, v2).  The series has one entry per
+    probe row, t = 0..n; the last row's probes are not read.  The same
+    iteration holds for the exact quantum kick sum_m J_m(gamma f(nu))
+    G(mu + m, nu): at the origin J_m(0) = delta_m0 and only
+    J_{+-1}'(0) = +-1/2 contribute to d/dnu.
     """
     probes = np.asarray(probes, dtype=complex)
-    if probes.ndim != 2 or probes.shape[1] != 2:
-        raise ValidationError("probes must be an (n+1, 2) array")
-    if n_max is None:
-        n_max = probes.shape[0] - 1
-    if probes.shape[0] < n_max + 1:
-        raise ConeError(f"need probes for t = 0..{n_max}, got {probes.shape[0]} rows")
-    g2 = np.empty(n_max + 1, dtype=complex)
-    g3 = np.empty(n_max + 1, dtype=complex)
+    if probes.ndim != 2 or probes.shape[1] != 2 or len(probes) == 0:
+        raise ValidationError("probes must be an (n+1, 2) array with n >= 0")
+    n = probes.shape[0] - 1
+    g2 = np.empty(n + 1, dtype=complex)
+    g3 = np.empty(n + 1, dtype=complex)
     g2[0], g3[0] = params.v1, params.v2
     half_gamma = 0.5 * params.gamma
-    for t in range(n_max):
+    for t in range(n):
         g2[t + 1] = g2[t] + params.tau * g3[t]
         g3[t + 1] = g3[t] + half_gamma * (probes[t, 0] - probes[t, 1])
-    return DerivativeSeries(g2, g3, probe_values=probes[: n_max + 1, 0].copy())
+    return DerivativeSeries(g2, g3, probe_values=probes[:, 0].copy())
 
 
 def run_standard_map(params: StandardMapParams, n_max: int,
@@ -536,7 +534,7 @@ def run_standard_map(params: StandardMapParams, n_max: int,
         if not (cmath.isfinite(pair[0]) and cmath.isfinite(pair[1])):
             raise NumericalError(f"lattice probes left the finite range at period {t}")
     del field
-    series = derivative_iteration(probes, params, n_max)
+    series = derivative_iteration(probes, params)
     return series, estimate_exponent(series)
 
 
@@ -588,14 +586,6 @@ def classical_closed_form(gamma: float, v1: float, v2: float, n: int) -> tuple[f
     else:
         b_n = c_n / (z - 2.0)
     return a_n * v1 + b_n * v2, c_n * v1 + d_n * v2
-
-
-def classical_closed_form_series(gamma: float, v1: float, v2: float, n_max: int) -> DerivativeSeries:
-    g2 = np.empty(n_max + 1, dtype=complex)
-    g3 = np.empty(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
-        g2[n], g3[n] = classical_closed_form(gamma, v1, v2, n)
-    return DerivativeSeries(g2, g3)
 
 
 def classical_lyapunov(gamma: float) -> float:

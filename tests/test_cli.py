@@ -251,9 +251,20 @@ def test_malformed_config_line_fails(tmp_path, capsys):
 
 
 def test_module_error_maps_to_exit_3(tmp_path, capsys):
-    assert run(["standard-map", "--gamma", "nan", "--n", "16", "--out", str(tmp_path)]) == 3
-    payload = json.loads(capsys.readouterr().err)
-    assert payload["error"] == "ValidationError"
+    # each input fails a library check: exit 3, the typed error as JSON on
+    # stderr, and no record
+    cases = [
+        (["standard-map", "--gamma", "nan", "--n", "16"], "gamma must be finite"),
+        (["standard-map", "--n", "0"], "n_max must be at least 1"),
+        (["harmonic", "--n", "0"], "need at least one period"),
+        (["cat", "--n-kicks", "-1"], "n_kicks must be nonnegative"),
+    ]
+    for i, (argv, message) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run(argv + ["--out", str(out)]) == 3, argv
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ValidationError", "message": message}, argv
+        assert not out.exists() or list(out.iterdir()) == [], argv
 
 
 @pytest.mark.parametrize("flag, value", [("--mean-q", "nan"), ("--sigma-q", "nan"),

@@ -15,7 +15,6 @@ from tomolyap import (
     floquet_lambda,
     harmonic_derivative_series,
     harmonic_floquet_eigenvalues,
-    harmonic_kick_recurrence,
     harmonic_lyapunov,
     propagate_tomogram_params,
 )
@@ -24,7 +23,6 @@ from tomolyap.floquet import (
     _expm,
     directional_derivatives_vanish,
     harmonic_floquet_matrix,
-    kick_only_inverse_block,
     symplectic_form,
     verify_quadratic_deformation_vanishes,
 )
@@ -41,46 +39,64 @@ LAMBDA_H2 = 1.6180339887498953
 # ---------------------------------------------------------------------------
 
 
+def kicked_coefficients(z, n):
+    """(t, a, b) per row t = 0..n of `harmonic_derivative_series`, with eps = a + b t.
+
+    The directions (1, 0) and (0, 1) return the real and imaginary parts of
+    eps and eps_dot = b.
+    """
+    re = harmonic_derivative_series(z, n, v1=1.0, v2=0.0)
+    im = harmonic_derivative_series(z, n, v1=0.0, v2=1.0)
+    eps = re.g2.real + 1j * im.g2.real
+    eps_dot = re.g3.real + 1j * im.g3.real
+    t = np.arange(n + 1)
+    return t, eps - t * eps_dot, eps_dot
+
+
+def wronskian(a, b):
+    return np.imag(np.conj(a) * b)
+
+
 @pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("entry", [
-    lambda z: harmonic_kick_recurrence(z, 3),
     lambda z: harmonic_derivative_series(z, 3),
     harmonic_lyapunov,
-], ids=["recurrence", "series", "lyapunov"])
+], ids=["series", "lyapunov"])
 def test_harmonic_entry_points_reject_non_finite_z(entry, z):
     with pytest.raises(ValidationError, match="z must be finite"):
         entry(z)
 
 
 def test_recurrence_zero_kick_is_free_motion():
-    state = harmonic_kick_recurrence(0.0, 9)
-    assert state.a == 1.0 + 0.0j
-    assert state.b == 1.0j
+    _, a, b = kicked_coefficients(0.0, 9)
+    assert a[-1] == 1.0 + 0.0j
+    assert b[-1] == 1.0j
 
 
 def test_recurrence_single_kick_z5():
-    state = harmonic_kick_recurrence(5.0, 1)
-    assert abs(state.a - (6.0 + 5.0j)) < 1e-12
-    assert abs(state.b - (-5.0 - 4.0j)) < 1e-12
+    _, a, b = kicked_coefficients(5.0, 1)
+    assert abs(a[1] - (6.0 + 5.0j)) < 1e-12
+    assert abs(b[1] - (-5.0 - 4.0j)) < 1e-12
 
 
 def test_recurrence_wronskian_conserved_long_run():
     # hyperbolic growth reaches |a||b| ~ 5e41 at n = 50, so conservation can
     # only be stated relative to the state magnitude in double precision
-    state = harmonic_kick_recurrence(5.0, 50)
-    scale = abs(state.a) * abs(state.b)
-    assert abs(state.wronskian() - 1.0) < 1e-12 * scale
+    _, a, b = kicked_coefficients(5.0, 50)
+    scale = abs(a[-1]) * abs(b[-1])
+    assert abs(wronskian(a[-1], b[-1]) - 1.0) < 1e-12 * scale
     # in the bounded (elliptic) regime the absolute statement holds
-    elliptic = harmonic_kick_recurrence(2.0, 50)
-    assert abs(elliptic.wronskian() - 1.0) < 1e-12
+    _, a, b = kicked_coefficients(2.0, 50)
+    assert abs(wronskian(a[-1], b[-1]) - 1.0) < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
-@given(z=st.floats(-10.0, 10.0), n=st.integers(0, 60))
+@given(z=st.floats(-10.0, 10.0), n=st.integers(1, 60))
 def test_recurrence_wronskian_property(z, n):
-    state = harmonic_kick_recurrence(z, n)
-    scale = max(1.0, abs(state.a), abs(state.b))
-    assert abs(state.wronskian() - 1.0) < 1e-9 * scale**2
+    # every row t = 0..n, so t = 0 is covered for each draw
+    _, a, b = kicked_coefficients(z, n)
+    scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    assert np.all(np.abs(wronskian(a, b) - 1.0) < 1e-9 * scale**2)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +321,8 @@ def test_propagate_matches_epsilon_solution_1d():
     z, n = 5.0, 4
     model = QuadraticModel(1, np.array([[1.0, 0.0], [0.0, 0.0]]),
                            np.array([[0.0, 0.0], [0.0, z]]))
-    state = harmonic_kick_recurrence(z, n)
-    eps, eps_dot = state.eps(), state.eps_dot()
+    t, a, b = kicked_coefficients(z, n)
+    eps, eps_dot = a[n] + b[n] * t[n], b[n]
     for mu, nu in ((1.0, 0.0), (0.0, 1.0), (0.7, -0.4)):
         mu_t, nu_t = propagate_tomogram_params(model, n, np.array([mu]), np.array([nu]))
         assert abs(mu_t[0] - (mu * eps.real + nu * eps_dot.real)) < 1e-10
@@ -371,16 +387,20 @@ def test_quartic_hamiltonian_fails_deformation_probe():
 
 
 def test_kick_only_inverse_block_matches_direct_powers():
+    # the upper 2x2 block of Lambda^-1(n+) of KICK_ONLY, with w the golden ratio,
+    # is (1/sqrt5) [[w^(-2n-1) + w^(2n+1), w^(-2n) - w^(2n)],
+    #               [w^(-2n) - w^(2n), w^(-2n+1) + w^(2n-1)]]; the identity at n = 0
+    w = GOLDEN_RATIO
     model = build_cat_model(CatVariant.KICK_ONLY)
     one = floquet_lambda(model, 1).matrix
     for n in range(6):
         direct = np.linalg.inv(np.linalg.matrix_power(one, n))[:2, :2]
+        closed = np.array([
+            [w ** (-2 * n - 1) + w ** (2 * n + 1), w ** (-2 * n) - w ** (2 * n)],
+            [w ** (-2 * n) - w ** (2 * n), w ** (-2 * n + 1) + w ** (2 * n - 1)],
+        ]) / np.sqrt(5.0)
         scale = max(1.0, np.max(np.abs(direct)))
-        assert np.max(np.abs(direct - kick_only_inverse_block(n))) < 1e-12 * scale
-
-
-def test_kick_only_inverse_block_identity_at_zero():
-    assert np.max(np.abs(kick_only_inverse_block(0) - np.eye(2))) < 1e-14
+        assert np.max(np.abs(direct - closed)) < 1e-12 * scale
 
 
 def test_symplectic_form_shape():
