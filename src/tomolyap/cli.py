@@ -12,13 +12,17 @@ another type, or outside the choices, fails with `file:line`.  An integer is
 accepted for a float parameter and stored as a float; a boolean is never a
 number.
 
-Each run writes a JSON result record (input echo, library version, results)
-plus subcommand-specific CSV series into the output directory.  Parameters
-come from an optional key = value config file overridden by command-line
-flags; flags win.  All floats in artifacts are rounded to 12 significant
-digits so identical inputs produce byte-identical files.
+Each run function fills a JSON result record (input echo, library version,
+results) and returns its summary line and its CSV tables; it writes nothing.
+`main` alone touches the output directory: after a run succeeds it creates
+`--out`, writes the tables and writes the record last, so a failed run leaves
+no directory and no record.  `--format json` writes only the record.
+Parameters come from an optional key = value config file overridden by
+command-line flags; flags win.  All floats in artifacts are rounded to 12
+significant digits so identical inputs produce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/module error.
+Exit codes: 0 success, 2 configuration error, 3 numerical/module error or an
+artifact that cannot be written (`"error": "io"`).
 """
 
 from __future__ import annotations
@@ -86,10 +90,6 @@ def _round12(value):
     return value
 
 
-def write_json(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(_round12(record), indent=2) + "\n")
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -99,20 +99,17 @@ def write_csv(path: Path, header: list[str], rows) -> None:
                              for v in row])
 
 
-def write_series_csv(path: Path, series) -> None:
+def series_table(series) -> tuple[list[str], list]:
     """Engine time-series layout: derivatives, probe magnitude, log norm."""
     norms = series.norms()
     probes = series.probe_values
-    rows = []
-    for t in range(len(series)):
-        rows.append([
-            t,
-            float(series.g2[t].real), float(series.g2[t].imag),
-            float(series.g3[t].real), float(series.g3[t].imag),
-            float(abs(probes[t])) if probes is not None else float("nan"),
-            float(np.log(norms[t])) if norms[t] > 0 else float("-inf"),
-        ])
-    write_csv(path, ["t", "re_g2", "im_g2", "re_g3", "im_g3", "abs_probe", "log_norm"], rows)
+    rows = [[t,
+             float(series.g2[t].real), float(series.g2[t].imag),
+             float(series.g3[t].real), float(series.g3[t].imag),
+             float(abs(probes[t])) if probes is not None else float("nan"),
+             float(np.log(norms[t])) if norms[t] > 0 else float("-inf")]
+            for t in range(len(series))]
+    return ["t", "re_g2", "im_g2", "re_g3", "im_g3", "abs_probe", "log_norm"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -188,12 +185,12 @@ def merge_config(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each fills `record`, writes its own CSVs into `out` and
-# returns the summary printed on success
+# subcommands: each fills `record` and returns the summary printed on
+# success and its CSV tables, {file name: (header, rows)}
 # ---------------------------------------------------------------------------
 
 
-def run_harmonic(cfg: dict, record: dict, out: Path, args) -> str:
+def run_harmonic(cfg: dict, record: dict) -> tuple[str, dict]:
     series = harmonic_derivative_series(cfg["z"], cfg["n"], cfg["v1"], cfg["v2"])
     estimate = estimate_exponent(series)
     eig = harmonic_floquet_eigenvalues(cfg["z"])
@@ -201,15 +198,14 @@ def run_harmonic(cfg: dict, record: dict, out: Path, args) -> str:
         "eigenvalues": [eig[0], eig[1]],
         "closed_form_lyapunov": harmonic_lyapunov(cfg["z"]),
         "estimate": estimate.to_dict(),
+        "series_file": "harmonic_series.csv",
     })
-    if args.format in ("csv", "both"):
-        write_series_csv(out / "harmonic_series.csv", series)
-        record["series_file"] = "harmonic_series.csv"
     return (f"harmonic z={cfg['z']}: lyapunov={record['closed_form_lyapunov']:.6f} "
-            f"estimate={estimate.slope:.6f} ({estimate.classification})")
+            f"estimate={estimate.slope:.6f} ({estimate.classification})",
+            {"harmonic_series.csv": series_table(series)})
 
 
-def run_cat(cfg: dict, record: dict, out: Path, args) -> str:
+def run_cat(cfg: dict, record: dict) -> tuple[str, dict]:
     variant = CatVariant(cfg["variant"])
     model = build_cat_model(variant)
     flo = floquet_lambda(model, cfg["n_kicks"])
@@ -219,10 +215,10 @@ def run_cat(cfg: dict, record: dict, out: Path, args) -> str:
         "lyapunov": cat_lyapunov(variant),
         "deformation_vanishes": verify_quadratic_deformation_vanishes(model),
     })
-    return f"cat {variant.value}: lyapunov={record['lyapunov']:.6f}"
+    return f"cat {variant.value}: lyapunov={record['lyapunov']:.6f}", {}
 
 
-def run_standard_map_cmd(cfg: dict, record: dict, out: Path, args) -> str:
+def run_standard_map_cmd(cfg: dict, record: dict) -> tuple[str, dict]:
     params = StandardMapParams(**{k: v for k, v in cfg.items() if k != "n"})
     resonance = hbar_resonance(params)
     if resonance is not None:
@@ -239,13 +235,12 @@ def run_standard_map_cmd(cfg: dict, record: dict, out: Path, args) -> str:
     if params.classical:
         record["closed_form_lyapunov"] = classical_lyapunov(
             params.gamma if abs(params.q0) < 1e-12 else -params.gamma)
-    if args.format in ("csv", "both"):
-        write_series_csv(out / "standard_map_series.csv", series)
-        write_csv(out / "standard_map_running.csv", ["t", "lambda_hat"],
-                  [[int(t), float(v)] for t, v in running])
-        record["series_file"] = "standard_map_series.csv"
+    record["series_file"] = "standard_map_series.csv"
     return (f"standard-map gamma={params.gamma} hbar={params.hbar}: "
-            f"estimate={estimate.slope:.6f} ({estimate.classification})")
+            f"estimate={estimate.slope:.6f} ({estimate.classification})",
+            {"standard_map_series.csv": series_table(series),
+             "standard_map_running.csv": (["t", "lambda_hat"],
+                                          [[int(t), float(v)] for t, v in running])})
 
 
 # --map choice: (map class, label format over the config)
@@ -256,7 +251,7 @@ ORACLE_MAPS = {
 }
 
 
-def run_oracle(cfg: dict, record: dict, out: Path, args) -> str:
+def run_oracle(cfg: dict, record: dict) -> tuple[str, dict]:
     cls, label_format = ORACLE_MAPS[cfg["map"]]
     label = label_format.format(**cfg)
     # the chosen map's fields that the config holds: the parameters it reads
@@ -265,12 +260,11 @@ def run_oracle(cfg: dict, record: dict, out: Path, args) -> str:
     record["params"] = {k: v for k, v in cfg.items() if k in ("map", "steps", *read)}
     lam = tangent_map_lyapunov(spec, cfg["steps"])
     record["lambda"] = lam
-    write_csv(out / "oracle_result.csv", ["spec", "n_steps", "lambda"],
-              [[label, cfg["steps"], lam]])
-    return f"oracle {label}: lambda={lam:.6f}"
+    return (f"oracle {label}: lambda={lam:.6f}",
+            {"oracle_result.csv": (["spec", "n_steps", "lambda"], [[label, cfg["steps"], lam]])})
 
 
-def run_tomography(cfg: dict, record: dict, out: Path, args) -> str:
+def run_tomography(cfg: dict, record: dict) -> tuple[str, dict]:
     density = GaussianDensity(cfg["mean_q"], cfg["mean_p"], cfg["sigma_q"],
                               cfg["sigma_p"], cfg["correlation"])
     tomogram = forward_tomogram(density, cfg["mu"], cfg["nu"], x_grid=cfg["x_points"])
@@ -282,7 +276,7 @@ def run_tomography(cfg: dict, record: dict, out: Path, args) -> str:
     if cfg["mu"] == 1.0 and cfg["nu"] == 0.0:
         record["mean_position"] = tomogram_mean_position(tomogram)
     if cfg["homogeneity_samples"] > 0:
-        rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+        rng = np.random.default_rng(record["seed"] if record["seed"] is not None else 0)
         worst = 0.0
         for _ in range(cfg["homogeneity_samples"]):
             scale = rng.uniform(0.1, 10.0)
@@ -299,14 +293,13 @@ def run_tomography(cfg: dict, record: dict, out: Path, args) -> str:
             "mean_q": mq,
             "mean_p": mp,
         }
-    if args.format in ("csv", "both"):
-        write_csv(out / "tomogram.csv", ["X", "w"], zip(tomogram.x, tomogram.values))
-        record["series_file"] = "tomogram.csv"
+    record["series_file"] = "tomogram.csv"
     return (f"tomography (mu={cfg['mu']}, nu={cfg['nu']}): mean={record['mean']:.6f} "
-            f"mass={record['mass']:.6f}")
+            f"mass={record['mass']:.6f}",
+            {"tomogram.csv": (["X", "w"], zip(tomogram.x, tomogram.values))})
 
 
-def run_compare(cfg: dict, record: dict, out: Path, args) -> str:
+def run_compare(cfg: dict, record: dict) -> tuple[str, dict]:
     """Side-by-side exponents for the three systems sharing ln((3+sqrt5)/2)."""
     n, steps = cfg["n"], cfg["oracle_steps"]
     rows = []
@@ -341,10 +334,10 @@ def run_compare(cfg: dict, record: dict, out: Path, args) -> str:
 
     record["rows"] = rows
     columns = ["system", "classical_lambda", "quantum_lambda", "oracle_lambda", "closed_form_lambda"]
-    write_csv(out / "compare.csv", columns, [[r[c] for c in columns] for r in rows])
-    return "\n".join(f"{r['system']}: classical={r['classical_lambda']:.6f} "
-                     f"quantum={r['quantum_lambda']:.6f} oracle={r['oracle_lambda']:.6f} "
-                     f"closed_form={r['closed_form_lambda']:.6f}" for r in rows)
+    return ("\n".join(f"{r['system']}: classical={r['classical_lambda']:.6f} "
+                      f"quantum={r['quantum_lambda']:.6f} oracle={r['oracle_lambda']:.6f} "
+                      f"closed_form={r['closed_form_lambda']:.6f}" for r in rows),
+            {"compare.csv": (columns, [[r[c] for c in columns] for r in rows])})
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +393,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
-        return 3
     kind = args.command.replace("-", "_")
     _, run, defaults = COMMANDS[args.command]
     try:
         cfg = merge_config(args, defaults)
         record = {"kind": kind, "version": __version__, "seed": args.seed, "params": dict(cfg)}
-        summary = run(cfg, record, out, args)
+        summary, tables = run(cfg, record)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TomolyapError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3
-    write_json(out / f"{kind}_result.json", record)
+    if args.format == "json":
+        tables = {}
+        record.pop("series_file", None)
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
+        # the record last, so a run that fails to write leaves no record
+        (out / f"{kind}_result.json").write_text(json.dumps(_round12(record), indent=2) + "\n")
+    except OSError as exc:
+        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
+        return 3
     print(summary)
     return 0
 

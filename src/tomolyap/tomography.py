@@ -48,6 +48,7 @@ tomograms use `_simpson_weights`, the same rule as a weight vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -88,22 +89,25 @@ def _require_uniform(axis: np.ndarray, name: str) -> float:
     return float(d)
 
 
+@lru_cache(maxsize=16)
 def _simpson_weights(n: int, dx: float) -> np.ndarray:
     """Weights w with w @ f equal to `simpson(f, dx=dx)` for n >= 2 samples.
 
     Odd n is composite Simpson (1, 4, 2, ..., 4, 1) dx/3; even n applies it to
     the first n - 1 samples and adds Cartwright's last-interval correction
-    (-1/12, 2/3, 5/12) dx, as scipy does; n = 2 is the trapezoid.
+    (-1/12, 2/3, 5/12) dx, as scipy does; n = 2 is the trapezoid.  Built
+    once per grid, shared by every tomogram on it, so the array is read-only.
     """
-    if n == 2:
-        return np.full(2, 0.5 * dx)
     n_odd = n - 1 + n % 2
     w = np.zeros(n)
     w[1 : n_odd - 1 : 2] = 4.0 * dx / 3.0
     w[2 : n_odd - 1 : 2] = 2.0 * dx / 3.0
     w[0] = w[n_odd - 1] = dx / 3.0
-    if n % 2 == 0:
+    if n == 2:
+        w[:] = 0.5 * dx
+    elif n % 2 == 0:
         w[-3:] += np.array([-1.0 / 12.0, 2.0 / 3.0, 5.0 / 12.0]) * dx
+    w.flags.writeable = False
     return w
 
 
@@ -117,17 +121,22 @@ def _check_direction(mu: float, nu: float) -> float:
     return r
 
 
-def resolve_grid(spec, center: float, width: float) -> np.ndarray:
+def resolve_grid(spec, moments) -> np.ndarray:
     """Turn a grid spec into an array of sample points.
 
-    Accepts None (`DEFAULT_X_POINTS` points over center +- width), an integer
-    point count over the same window, or an explicit uniform array.
+    Accepts None (`DEFAULT_X_POINTS` points over mean +- `SUPPORT_SIGMAS`
+    deviations of X), an integer point count over the same window, or an
+    explicit uniform array.  `moments()` gives X's mean and variance; it is
+    called only for a point count.
     """
     if spec is None:
         spec = DEFAULT_X_POINTS
     if isinstance(spec, int):
-        return np.linspace(center - width, center + width, spec)
-    arr = np.asarray(spec, dtype=float)
+        center, var = moments()
+        width = SUPPORT_SIGMAS * np.sqrt(var)
+        arr = np.linspace(center - width, center + width, spec)
+    else:
+        arr = np.asarray(spec, dtype=float)
     _require_uniform(arr, "x grid")
     return arr
 
@@ -452,8 +461,7 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float, x_grid=No
     r = _check_direction(mu, nu)
     mu_u, nu_u = mu / r, nu / r
 
-    mean_x, var_x = density.projected_moments(mu, nu)
-    x = resolve_grid(x_grid, mean_x, SUPPORT_SIGMAS * np.sqrt(var_x))
+    x = resolve_grid(x_grid, lambda: density.projected_moments(mu, nu))
     xhat = x / r
 
     if isinstance(density, GaussianDensity):
@@ -523,13 +531,13 @@ def pure_state_tomogram(psi: WaveFunction, mu: float, nu: float, x_grid=None) ->
             f"y grid [{psi.y[0]:g}, {psi.y[-1]:g}] with dy = {psi.dy:g} under-resolves the "
             f"chirp at (mu, nu) = ({mu:g}, {nu:g}): its phase step {chirp_step:.3g} rad "
             "per sample exceeds pi")
-    my, vy = psi.position_moments()
-    mp, vp = psi.momentum_moments()
-    mean_x = mu * my + nu * mp
-    var_x = max(mu * mu * vy + nu * nu * vp, 1e-12)
-    x = resolve_grid(x_grid, mean_x, SUPPORT_SIGMAS * np.sqrt(var_x))
-    _require_uniform(x, "X grid")
 
+    def moments():
+        my, vy = psi.position_moments()
+        mp, vp = psi.momentum_moments()
+        return mu * my + nu * mp, max(mu * mu * vy + nu * nu * vp, 1e-12)
+
+    x = resolve_grid(x_grid, moments)
     y = psi.y
     n, m = y.size, x.size
     scale = 1.0 / (nu * hbar)

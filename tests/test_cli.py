@@ -162,6 +162,18 @@ def test_record_echo_round_trips_as_config(tmp_path):
         assert (first / result).read_bytes() == (second / result).read_bytes(), command
 
 
+@pytest.mark.parametrize("argv", ECHO_RUNS, ids=lambda argv: argv[0])
+def test_format_json_writes_only_the_record(tmp_path, argv):
+    assert run(argv + ["--format", "json", "--out", str(tmp_path / "json")]) == 0
+    assert run(argv + ["--format", "both", "--out", str(tmp_path / "both")]) == 0
+    result = f"{argv[0].replace('-', '_')}_result.json"
+    assert [p.name for p in (tmp_path / "json").iterdir()] == [result]
+    record = json.loads((tmp_path / "json" / result).read_text())
+    both = json.loads((tmp_path / "both" / result).read_text())
+    both.pop("series_file", None)
+    assert record == both
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------
@@ -217,7 +229,7 @@ def test_bad_config_value_exits_2(tmp_path, capsys, command, line, key):
     out = tmp_path / "out"
     assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {cfg}:2: {key} must be ")
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_integer_config_value_for_float_key_echoes_as_float(tmp_path):
@@ -264,7 +276,16 @@ def test_module_error_maps_to_exit_3(tmp_path, capsys):
         assert run(argv + ["--out", str(out)]) == 3, argv
         payload = json.loads(capsys.readouterr().err)
         assert payload == {"error": "ValidationError", "message": message}, argv
-        assert not out.exists() or list(out.iterdir()) == [], argv
+        assert not out.exists(), argv
+
+
+def test_unwritable_artifact_exits_3_without_a_record(tmp_path, capsys):
+    (tmp_path / "harmonic_series.csv").mkdir()
+    assert run(["harmonic", "--n", "20", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "io"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["harmonic_series.csv"]
 
 
 @pytest.mark.parametrize("flag, value", [("--mean-q", "nan"), ("--sigma-q", "nan"),

@@ -54,6 +54,7 @@ def run_case(argv: list[str], out: Path) -> None:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main([*argv, "--out", str(out)])
+    out.mkdir(parents=True, exist_ok=True)  # a failed run creates no directory
     (out / "stdout.txt").write_text(stdout.getvalue())
     (out / "stderr.txt").write_text(stderr.getvalue())
     (out / "exit_code.txt").write_text(f"{code}\n")
