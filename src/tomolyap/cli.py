@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, TomolyapError
+from .errors import ConfigError, TomolyapError, ValidationError
 from .estimator import estimate_exponent, running_estimate
 from .floquet import (
     CatVariant,
@@ -275,6 +275,8 @@ def run_tomography(cfg: dict, record: dict) -> tuple[str, dict]:
     })
     if cfg["mu"] == 1.0 and cfg["nu"] == 0.0:
         record["mean_position"] = tomogram_mean_position(tomogram)
+    if cfg["homogeneity_samples"] < 0:
+        raise ValidationError("homogeneity_samples must be nonnegative")
     if cfg["homogeneity_samples"] > 0:
         rng = np.random.default_rng(record["seed"] if record["seed"] is not None else 0)
         worst = 0.0
@@ -284,7 +286,7 @@ def run_tomography(cfg: dict, record: dict) -> tuple[str, dict]:
                                       x_grid=scale * tomogram.x)
             worst = max(worst, float(np.max(np.abs(scaled.values * scale - tomogram.values))))
         record["homogeneity_max_defect"] = worst
-    if cfg["directions"] > 0:
+    if cfg["directions"] != 0:
         recon = inverse_tomogram(gaussian_tomogram_family(density, cfg["directions"]))
         mq, mp = recon.moments()
         record["reconstruction"] = {

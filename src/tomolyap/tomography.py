@@ -21,10 +21,15 @@ Conventions
   to this choice of prefactor; we pin the probability convention.
 * Wave functions carry their own hbar; X = mu q + nu p throughout.
 
-Default grids: 256 X points spanning 8 pooled standard deviations on either
-side of the mean, and 64 projection angles.  A single tomogram also takes a
-point count or an explicit uniform grid; a family always uses one grid wide
-enough for all its directions, and a reconstruction the family's X window.
+Default grids: 256 X points spanning 8 standard deviations of X on either
+side of its mean, and 64 projection angles.  Every state type
+(`GaussianDensity`, `GridDensity`, `WaveFunction`) answers
+`projected_moments(mu, nu)`, the mean and variance of X that size a window.
+A single tomogram also takes a point count (of any integer type) or an
+explicit uniform grid.  Both families come from one builder, which puts all
+directions on one grid over the union of their windows; they differ only in
+their directions, theta_i = i pi / n for densities and (i + 1/2) pi / n for
+wave functions.  A reconstruction spans the family's X window.
 
 Cost: a Gaussian tomogram integrates `GAUSSIAN_LINE_POINTS` (2001) line
 points per X, and a gridded density one point per half grid step across its
@@ -47,9 +52,10 @@ tomograms use `_simpson_weights`, the same rule as a weight vector.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence, Union
+from functools import cached_property, lru_cache
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -131,10 +137,11 @@ def resolve_grid(spec, moments) -> np.ndarray:
     """
     if spec is None:
         spec = DEFAULT_X_POINTS
-    if isinstance(spec, int):
+    if isinstance(spec, numbers.Integral):
         center, var = moments()
         width = SUPPORT_SIGMAS * np.sqrt(var)
-        arr = np.linspace(center - width, center + width, spec)
+        # a negative count is an empty grid, which the check below rejects
+        arr = np.linspace(center - width, center + width, max(spec, 0))
     else:
         arr = np.asarray(spec, dtype=float)
     _require_uniform(arr, "x grid")
@@ -202,19 +209,21 @@ class GaussianDensity:
 
 
 @dataclass
-class GridDensity:
-    """Phase-space density sampled on a uniform (q, p) grid.
+class WignerGrid:
+    """Wigner function on a uniform (q, p) grid; values may be negative.
 
-    values[i, j] is the density at (q[i], p[j]).  Nonnegativity and unit
-    normalization are checked at construction; `norm_tol` exists because
-    numerical reconstructions are only normalized to their documented
-    quadrature tolerance.
+    values[i, j] is the value at (q[i], p[j]).  Normalized so that the grid
+    sum times the cell area is 1 within `norm_tol` = 1e-2, the quadrature
+    accuracy of the shared reconstruction pipeline, whose probability
+    convention this is.  The grid, shape and mass checks here are the only
+    ones; `GridDensity` adds its checks on the values.
     """
 
     q: np.ndarray
     p: np.ndarray
     values: np.ndarray
-    norm_tol: float = 1e-6
+    norm_tol: ClassVar[float] = 1e-2
+    _kind: ClassVar[str] = "Wigner"
 
     def __post_init__(self) -> None:
         self.q = np.asarray(self.q, dtype=float)
@@ -224,16 +233,37 @@ class GridDensity:
         self.dp = _require_uniform(self.p, "p grid")
         if self.values.shape != (self.q.size, self.p.size):
             raise ValidationError("values must have shape (len(q), len(p))")
+        self._check_values()
+        mass = self.mass()
+        if not abs(mass - 1.0) <= self.norm_tol:
+            raise ValidationError(f"{self._kind} mass {mass:.8g} deviates from 1 beyond {self.norm_tol:g}")
+
+    def _check_values(self) -> None:
+        """Checks on the values that run before the mass check; none here."""
+
+    def mass(self) -> float:
+        return float(self.values.sum() * self.dq * self.dp)
+
+
+@dataclass
+class GridDensity(WignerGrid):
+    """Phase-space density sampled on a uniform (q, p) grid.
+
+    values[i, j] is the density at (q[i], p[j]).  Beyond the grid checks of
+    `WignerGrid`, the values must be finite and nonnegative, and the mass
+    must be 1 within `norm_tol`, which exists because numerical
+    reconstructions are only normalized to their documented quadrature
+    tolerance.
+    """
+
+    norm_tol: float = 1e-6
+    _kind: ClassVar[str] = "density"
+
+    def _check_values(self) -> None:
         if not np.isfinite(self.values).all():
             raise ValidationError("density values must be finite")
         if np.min(self.values) < -NEGATIVITY_JITTER:
             raise ValidationError(f"density has negative values (min {np.min(self.values):g})")
-        mass = float(self.values.sum() * self.dq * self.dp)
-        if not abs(mass - 1.0) <= self.norm_tol:
-            raise ValidationError(f"density mass {mass:.8g} deviates from 1 beyond {self.norm_tol:g}")
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.dq * self.dp)
 
     def pdf(self, q: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the samples at broadcastable q, p arrays.
@@ -257,49 +287,26 @@ class GridDensity:
                + (v[i, j + 1] * (1.0 - tq) + v[i + 1, j + 1] * tq) * tp)
         return np.where(inside, out, 0.0)
 
-    def moments(self) -> tuple[float, float]:
+    @cached_property
+    def _mass_and_means(self) -> tuple[float, float, float]:
+        # once per density: a family asks for projected_moments per direction
+        mass = self.mass()
         mq = float((self.values * self.q[:, None]).sum() * self.dq * self.dp)
         mp = float((self.values * self.p[None, :]).sum() * self.dq * self.dp)
-        return mq / self.mass(), mp / self.mass()
+        return mass, mq / mass, mp / mass
+
+    def moments(self) -> tuple[float, float]:
+        return self._mass_and_means[1:]
 
     def projected_moments(self, mu: float, nu: float) -> tuple[float, float]:
-        mq, mp = self.moments()
+        mass, mq, mp = self._mass_and_means
         mean = mu * mq + nu * mp
         x = mu * self.q[:, None] + nu * self.p[None, :]
-        var = float((self.values * (x - mean) ** 2).sum() * self.dq * self.dp / self.mass())
+        var = float((self.values * (x - mean) ** 2).sum() * self.dq * self.dp / mass)
         return mean, var
 
 
 PhaseSpaceDensity = Union[GaussianDensity, GridDensity]
-
-
-@dataclass
-class WignerGrid:
-    """Wigner function on a uniform (q, p) grid; values may be negative.
-
-    Normalized so that the grid sum times the cell area is 1 within 1e-2,
-    the quadrature accuracy of the shared reconstruction pipeline, whose
-    probability convention this is.
-    """
-
-    q: np.ndarray
-    p: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.q = np.asarray(self.q, dtype=float)
-        self.p = np.asarray(self.p, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        self.dq = _require_uniform(self.q, "q grid")
-        self.dp = _require_uniform(self.p, "p grid")
-        if self.values.shape != (self.q.size, self.p.size):
-            raise ValidationError("values must have shape (len(q), len(p))")
-        mass = float(self.values.sum() * self.dq * self.dp)
-        if not abs(mass - 1.0) <= 1e-2:
-            raise ValidationError(f"Wigner mass {mass:.8g} deviates from 1 beyond 0.01")
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.dq * self.dp)
 
 
 @dataclass
@@ -336,6 +343,22 @@ class WaveFunction:
         mean = float(self.hbar * np.imag(np.sum(np.conj(self.psi) * dpsi)) * self.dy)
         second = float(self.hbar**2 * np.sum(np.abs(dpsi) ** 2) * self.dy)
         return mean, second - mean**2
+
+    @cached_property
+    def _moments(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        # once per wave function: a family asks for projected_moments per
+        # direction, and np.gradient is the costly part
+        return self.position_moments(), self.momentum_moments()
+
+    def projected_moments(self, mu: float, nu: float) -> tuple[float, float]:
+        """Mean of X = mu q + nu p, and mu^2 var(q) + nu^2 var(p) floored at
+        1e-12.
+
+        The variance leaves out the q-p covariance, so it is exact only for
+        states without one; it sizes X windows.
+        """
+        (my, vy), (mp, vp) = self._moments
+        return mu * my + nu * mp, max(mu ** 2 * vy + nu ** 2 * vp, 1e-12)
 
 
 @dataclass
@@ -473,20 +496,30 @@ def forward_tomogram(density: PhaseSpaceDensity, mu: float, nu: float, x_grid=No
     return Tomogram(x, w_unit / r, mu, nu)
 
 
+def _tomogram_family(state, n_directions: int, offset: float, tomogram) -> list[Tomogram]:
+    """`tomogram(state, cos t, sin t, x_grid=...)` over t_i = (i + offset) pi / n
+    on one X grid wide enough for every direction.
+
+    The grid has `DEFAULT_X_POINTS` points over the union of the windows
+    mean +- `SUPPORT_SIGMAS` deviations that `state.projected_moments` gives
+    per direction.
+    """
+    if not (isinstance(n_directions, numbers.Integral) and n_directions > 0):
+        raise ValidationError(f"n_directions must be a positive integer, got {n_directions}")
+    thetas = (np.arange(n_directions) + offset) * np.pi / n_directions
+    directions = [(np.cos(t), np.sin(t)) for t in thetas]
+    moments = [state.projected_moments(mu, nu) for mu, nu in directions]
+    lo = min(mean - SUPPORT_SIGMAS * np.sqrt(var) for mean, var in moments)
+    hi = max(mean + SUPPORT_SIGMAS * np.sqrt(var) for mean, var in moments)
+    x_grid = np.linspace(lo, hi, DEFAULT_X_POINTS)
+    return [tomogram(state, mu, nu, x_grid=x_grid) for mu, nu in directions]
+
+
 def gaussian_tomogram_family(density: PhaseSpaceDensity,
                              n_directions: int = DEFAULT_DIRECTIONS) -> list[Tomogram]:
     """Tomograms over theta_i = i pi / n on one X grid wide enough for every
     direction (for inversion)."""
-    widths = []
-    for th in np.arange(n_directions) * np.pi / n_directions:
-        m, v = density.projected_moments(np.cos(th), np.sin(th))
-        widths.append((m - SUPPORT_SIGMAS * np.sqrt(v), m + SUPPORT_SIGMAS * np.sqrt(v)))
-    x_grid = np.linspace(min(w[0] for w in widths), max(w[1] for w in widths), DEFAULT_X_POINTS)
-    out = []
-    for i in range(n_directions):
-        th = i * np.pi / n_directions
-        out.append(forward_tomogram(density, np.cos(th), np.sin(th), x_grid=x_grid))
-    return out
+    return _tomogram_family(density, n_directions, 0.0, forward_tomogram)
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +564,7 @@ def pure_state_tomogram(psi: WaveFunction, mu: float, nu: float, x_grid=None) ->
             f"y grid [{psi.y[0]:g}, {psi.y[-1]:g}] with dy = {psi.dy:g} under-resolves the "
             f"chirp at (mu, nu) = ({mu:g}, {nu:g}): its phase step {chirp_step:.3g} rad "
             "per sample exceeds pi")
-
-    def moments():
-        my, vy = psi.position_moments()
-        mp, vp = psi.momentum_moments()
-        return mu * my + nu * mp, max(mu * mu * vy + nu * nu * vp, 1e-12)
-
-    x = resolve_grid(x_grid, moments)
+    x = resolve_grid(x_grid, lambda: psi.projected_moments(mu, nu))
     y = psi.y
     n, m = y.size, x.size
     scale = 1.0 / (nu * hbar)
@@ -563,17 +590,7 @@ def pure_state_tomogram_family(psi: WaveFunction,
     pure-state quadrature cannot represent) while remaining an equally spaced
     family over [0, pi) as the reconstruction requires.
     """
-    thetas = (np.arange(n_directions) + 0.5) * np.pi / n_directions
-    my, vy = psi.position_moments()
-    mp, vp = psi.momentum_moments()
-    lo = min(np.cos(t) * my + np.sin(t) * mp
-             - SUPPORT_SIGMAS * np.sqrt(np.cos(t) ** 2 * vy + np.sin(t) ** 2 * vp)
-             for t in thetas)
-    hi = max(np.cos(t) * my + np.sin(t) * mp
-             + SUPPORT_SIGMAS * np.sqrt(np.cos(t) ** 2 * vy + np.sin(t) ** 2 * vp)
-             for t in thetas)
-    x_grid = np.linspace(lo, hi, DEFAULT_X_POINTS)
-    return [pure_state_tomogram(psi, np.cos(t), np.sin(t), x_grid=x_grid) for t in thetas]
+    return _tomogram_family(psi, n_directions, 0.5, pure_state_tomogram)
 
 
 # ---------------------------------------------------------------------------

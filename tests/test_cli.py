@@ -270,6 +270,9 @@ def test_module_error_maps_to_exit_3(tmp_path, capsys):
         (["standard-map", "--n", "0"], "n_max must be at least 1"),
         (["harmonic", "--n", "0"], "need at least one period"),
         (["cat", "--n-kicks", "-1"], "n_kicks must be nonnegative"),
+        (["tomography", "--directions", "-1"], "n_directions must be a positive integer, got -1"),
+        (["tomography", "--homogeneity-samples", "-4"], "homogeneity_samples must be nonnegative"),
+        (["tomography", "--x-points", "-5"], "x grid must be a 1-d grid with at least 2 points"),
     ]
     for i, (argv, message) in enumerate(cases):
         out = tmp_path / str(i)

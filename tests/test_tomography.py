@@ -142,6 +142,35 @@ def test_forward_grid_density_matches_analytic():
 # ---------------------------------------------------------------------------
 
 
+def test_grid_density_projected_moments_equal_the_uncached_sums():
+    # steps of 0.13 and 0.15: neither is a power of two
+    q = np.linspace(-6.5, 6.5, 101)
+    p = np.linspace(-5.0, 7.0, 81)
+    density = GaussianDensity(0.4, 1.1, 1.2, 0.9, 0.3)
+    grid = GridDensity(q, p, density.pdf(q[:, None], p[None, :]), norm_tol=1e-4)
+    dq, dp = grid.dq, grid.dp
+    mass = float(grid.values.sum() * dq * dp)
+    mq = float((grid.values * q[:, None]).sum() * dq * dp) / mass
+    mp = float((grid.values * p[None, :]).sum() * dq * dp) / mass
+    assert grid.moments() == (mq, mp)
+    for t in np.arange(16) * np.pi / 16:
+        mean = np.cos(t) * mq + np.sin(t) * mp
+        x = np.cos(t) * q[:, None] + np.sin(t) * p[None, :]
+        var = float((grid.values * (x - mean) ** 2).sum() * dq * dp / mass)
+        assert grid.projected_moments(np.cos(t), np.sin(t)) == (mean, var)
+
+
+def test_integer_grid_count_of_any_integral_type():
+    density = GaussianDensity(mean_q=0.3, correlation=0.2)
+    by_int = forward_tomogram(density, 0.6, 0.8, x_grid=64)
+    by_numpy = forward_tomogram(density, 0.6, 0.8, x_grid=np.int64(64))
+    assert np.array_equal(by_numpy.x, by_int.x) and np.array_equal(by_numpy.values, by_int.values)
+    # a bool is a one- or zero-point count, as before
+    for count in (True, False):
+        with pytest.raises(ValidationError, match="x grid must be a 1-d grid with at least 2 points"):
+            forward_tomogram(density, 0.6, 0.8, x_grid=count)
+
+
 def test_grid_density_rejects_negative_values():
     q = np.linspace(-5, 5, 64)
     vals = np.full((64, 64), 1e-2)
@@ -440,6 +469,30 @@ def test_pure_state_rejects_single_point_x_grid(x_grid):
 def test_pure_state_rejects_nu_zero():
     with pytest.raises(UnsupportedDirectionError):
         pure_state_tomogram(ground_state(), 1.0, 0.0)
+
+
+def test_wave_function_projected_moments_match_the_pure_family_formula():
+    # the window formula the pure family wrote out before it asked the state
+    psi = ground_state(shift_q=0.3, shift_p=-0.2)
+    my, vy = psi.position_moments()
+    mp, vp = psi.momentum_moments()
+    for t in (np.arange(64) + 0.5) * np.pi / 64:
+        expected = (np.cos(t) * my + np.sin(t) * mp, np.cos(t) ** 2 * vy + np.sin(t) ** 2 * vp)
+        assert psi.projected_moments(np.cos(t), np.sin(t)) == expected
+
+
+def test_pure_family_takes_the_momentum_moments_once(monkeypatch):
+    calls = []
+    momentum_moments = WaveFunction.momentum_moments
+
+    def spy(self):
+        calls.append(self)
+        return momentum_moments(self)
+
+    monkeypatch.setattr(WaveFunction, "momentum_moments", spy)
+    psi = ground_state()
+    assert len(pure_state_tomogram_family(psi, 64)) == 64
+    assert calls == [psi]
 
 
 def test_pure_state_matches_forward_of_wigner_gaussian():
