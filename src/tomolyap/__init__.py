@@ -34,11 +34,11 @@ from .hilbert import quantum_probes
 from .oracle import KickedMapSpec, tangent_map_lyapunov
 from .series import DerivativeSeries
 from .standard_map import (
-    GField,
     StandardMapParams,
     classical_closed_form,
     classical_lyapunov,
     derivative_iteration,
+    lattice_probes,
     run_standard_map,
 )
 from .symbolic import symbolic_expand

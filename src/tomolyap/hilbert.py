@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .standard_map import StandardMapParams
+from .standard_map import StandardMapParams, check_run_length
 
 LEAK_TOL = 1e-12
 MAX_BYTES = 256 * 1024**2
@@ -163,14 +163,14 @@ def quantum_probes(params: StandardMapParams, n_max: int) -> np.ndarray:
     Feeds `derivative_iteration` directly.  The second probe is the Weyl
     symbol of the adjoint displacement, so G(-1, -tau, t) = -conj(G(1, tau, t))
     for the real direction (v1, v2).  Raises `ValidationError` for hbar = 0,
-    a non-finite gamma/hbar or n_max < 1, and `NumericalError` when the grid
-    needed to hold the evolved states exceeds `MAX_BYTES` (for example at a
-    quantum resonance, where momentum spreads without bound).
+    a non-finite gamma/hbar or an n_max that is not an integer of at least 1,
+    and `NumericalError` when the grid needed to hold the evolved states
+    exceeds `MAX_BYTES` (for example at a quantum resonance, where momentum
+    spreads without bound).
     """
     if params.classical:
         raise ValidationError("the Hilbert-space route needs hbar > 0")
-    if n_max < 1:
-        raise ValidationError("n_max must be at least 1")
+    n_max = check_run_length(n_max)
     x = params.gamma / params.hbar
     if not np.isfinite(x):
         raise ValidationError(
@@ -188,7 +188,7 @@ def quantum_probes(params: StandardMapParams, n_max: int) -> np.ndarray:
                 f"the Hilbert-space grid of {n_points} momenta and {2 * s + 1} basis "
                 f"states per fibre needs {need} bytes, over the ceiling of {MAX_BYTES}; "
                 "the momentum spread did not converge")
-        g, grid_leak, m_leak = _evolve(params, int(n_max), n_points, s)
+        g, grid_leak, m_leak = _evolve(params, n_max, n_points, s)
         if grid_leak <= LEAK_TOL and m_leak <= LEAK_TOL:
             if not np.all(np.isfinite(g)):
                 raise NumericalError("non-finite probe value in the Hilbert-space evolution")

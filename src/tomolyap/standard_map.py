@@ -77,16 +77,23 @@ form an exactly invariant family under the classical kick (and under free
 flight always).  The engine therefore carries that part in closed form and
 evolves only the deviation field on the lattice ("split" mode).  For the
 classical map with a base point at q0 in {0, pi} the deviation is identically
-zero and the probe values are exact for any run length; the direct all-lattice
-mode is kept as a cross-check and for generic base points.  Direct classical
-runs amplify roundoff through the unbounded kick coefficient at the window
-edge and are accurate only to moderate run lengths (about 40 periods at
-gamma = 1); the split representation exists precisely to avoid that.
+zero and the probe values are exact for any run length.  The all-lattice
+"direct" mode serves the generic base points; the mode always follows the
+base point.  The split/direct cross-check at splittable base points lives in
+the tests (`tests/oracles.py::full_lattice_probes` with mode "direct").
+Direct classical runs amplify roundoff through the unbounded kick
+coefficient at the window edge and are accurate only to moderate run lengths
+(about 40 periods at gamma = 1); the split representation exists precisely to
+avoid that.
+
+`lattice_probes(params, n)` returns the probe history with the contract of
+`hilbert.quantum_probes`; `GField` is its implementation.
 """
 
 from __future__ import annotations
 
 import cmath
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,7 +103,7 @@ from .errors import ConeError, NumericalError, ResourceError, ValidationError
 from .estimator import ExponentEstimate, estimate_exponent
 from .series import DerivativeSeries
 
-DEFAULT_MAX_BYTES = 6 * 1024**3
+MAX_BYTES = 6 * 1024**3
 
 
 @dataclass(frozen=True)
@@ -132,16 +139,28 @@ class StandardMapParams:
         return (2.0 / self.hbar) * np.sin(0.5 * self.hbar * nu)
 
 
-def lattice_extents(n_max: int, keep: tuple[int, int] = (1, 1)) -> tuple[int, int]:
-    """Half-extents (J, K) containing the backward cone of the probe window.
+def check_run_length(n_max) -> int:
+    """`n_max` as an int, for a run of at least one period.
 
-    A probe at (j0, k0) with |j0| <= keep_j, |k0| <= keep_k read after any
-    s <= n_max periods depends on initial cells with |j| <= keep_j + s and
-    |k| <= keep_k + s keep_j + s(s+1)/2; one extra row and two extra columns
-    give the stencil sweeps room.
+    A bool or a value that is not an integer raises `ValidationError`
+    rather than being truncated; any NumPy integer is accepted.
     """
-    kj, kk = keep
-    return kj + n_max + 1, kk + n_max * kj + n_max * (n_max + 1) // 2 + 2
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise ValidationError(f"n_max must be an integer, got {n_max}")
+    if n_max < 1:
+        raise ValidationError("n_max must be at least 1")
+    return int(n_max)
+
+
+def lattice_extents(n_max: int) -> tuple[int, int]:
+    """Half-extents (J, K) containing the backward cone of the probe cells.
+
+    A probe at (j0, k0) with |j0|, |k0| <= 1 read after any s <= n_max
+    periods depends on initial cells with |j| <= 1 + s and
+    |k| <= 1 + s + s(s+1)/2; one extra row and two extra columns give the
+    stencil sweeps room.
+    """
+    return n_max + 2, n_max + 3 + n_max * (n_max + 1) // 2
 
 
 def _pi_multiple(x: float) -> int | None:
@@ -149,18 +168,18 @@ def _pi_multiple(x: float) -> int | None:
     return int(m) if abs(x - m * np.pi) <= 1e-12 * max(1.0, abs(x)) else None
 
 
-def _cone_table(n_max: int, keep: tuple[int, int], J: int,
-                K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cone_table(n_max: int, J: int, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column hulls, per period and lattice row, of the cells a sweep evaluates.
 
     Entry [t - 1] of the table holds four rows of lattice column indices: the
     pre-kick hull (lo, hi) and the post-kick hull (lo, hi) of period t, with
-    lo > hi for an empty row.  Built backward from period n_max: the keep
-    window is read after every period; a post-kick cell needs the pre-kick
-    cells of its own row and of the two neighbouring rows; free flight moves
-    pre-kick (j, k) of period t to post-kick (j, k + j) of period t - 1.  The
-    build runs over all rows -J..J, but the sweep of the stored half reads
-    only rows j >= -1, so only those are kept, row j at index j + 1.
+    lo > hi for an empty row.  Built backward from period n_max: the probe
+    window |j|, |k| <= 1 is read after every period; a post-kick cell needs
+    the pre-kick cells of its own row and of the two neighbouring rows; free
+    flight moves pre-kick (j, k) of period t to post-kick (j, k + j) of
+    period t - 1.  The build runs over all rows -J..J, but the sweep of the
+    stored half reads only rows j >= -1, so only those are kept, row j at
+    index j + 1.
 
     Also returned, for each stored row j = 0..J, is the range [lo, hi] of
     comoving columns x = c + j t the sweep touches over the whole run (lo > hi
@@ -175,14 +194,14 @@ def _cone_table(n_max: int, keep: tuple[int, int], J: int,
     """
     rows, cols = 2 * J + 1, 2 * K + 1
     j = np.arange(-J, J + 1)
-    keep_rows = slice(J - keep[0], J + keep[0] + 1)
+    probe_rows = slice(J - 1, J + 2)
     table = np.empty((n_max, 4, J + 2), dtype=np.int32)
     # post-kick hulls of rows -J..J, between one empty row on either side
     lo_pad, hi_pad = np.full(rows + 2, cols), np.full(rows + 2, -1)
     lo, hi = lo_pad[1:-1], hi_pad[1:-1]
     for t in range(n_max, 0, -1):
-        np.minimum(lo[keep_rows], K - keep[1], out=lo[keep_rows])
-        np.maximum(hi[keep_rows], K + keep[1], out=hi[keep_rows])
+        np.minimum(lo[probe_rows], K - 1, out=lo[probe_rows])
+        np.maximum(hi[probe_rows], K + 1, out=hi[probe_rows])
         pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo), lo_pad[2:])
         pre_hi = np.maximum(np.maximum(hi_pad[:-2], hi), hi_pad[2:])
         table[t - 1] = pre_lo[J - 1 :], pre_hi[J - 1 :], lo[J - 1 :], hi[J - 1 :]
@@ -207,50 +226,34 @@ class GField:
     A fresh field holds the data (v1 mu + v2 nu) exp(i(q0 mu + p0 nu)) at
     t = 0; the overall scale of G drops out of the exponent (a log-ratio), so
     the constant prefactor of the dipole perturbation is dropped.  `advance()`
-    steps it one period in place.  `value(j, k)` returns G(mu=j, nu=k tau) at
-    the current time; after the first step only the declared probe window
-    (|j| <= keep_j, |k| <= keep_k) is guaranteed by the cone bookkeeping and
-    anything else raises `ConeError`.
+    steps it one period in place, and `probe_pair()` reads the probes at the
+    current time.  The field runs split when q0 and p0 tau are multiples of
+    pi and direct otherwise; the split/direct cross-check at splittable base
+    points is `tests/oracles.py::full_lattice_probes` with mode "direct".
 
     Only rows j = 0..J are stored, in comoving columns: after period t,
     lattice column c of row j sits at flat index `_base[j] + j t + c`, so
     free flight moves no data.  Each row holds only the comoving columns its
     sweep touches in some period (`_cone_table`), the rows one after another
-    in one flat array, row j at `_offset[j]` up to `_offset[j + 1]`.  A read
-    of a cell that is not stored raises `ConeError`, at t = 0 too; a split
-    field whose deviation is still identically zero (`_dev is None`)
-    answers anywhere in the J x K box.  Rows j < 0 are read through the
-    symmetry G(-j, -k) = -conj G(j, k), which the initial data has and which
-    free flight, the real odd kick coefficient and, in split mode, the real
-    odd carried part all preserve (see the module docstring).
+    in one flat array, row j at `_offset[j]` up to `_offset[j + 1]`.  The
+    probe G(1, tau) is the stored cell (1, 1); G(-1, -tau) is read through
+    the symmetry G(-j, -k) = -conj G(j, k), which the initial data has and
+    which free flight, the real odd kick coefficient and, in split mode, the
+    real odd carried part all preserve (see the module docstring).
     """
 
-    def __init__(self, params: StandardMapParams, n_max: int,
-                 keep: tuple[int, int] = (1, 1), mode: str = "auto",
-                 max_bytes: int = DEFAULT_MAX_BYTES) -> None:
-        if n_max < 1:
-            raise ValidationError("n_max must be at least 1")
-        if mode not in ("auto", "split", "direct"):
-            raise ValidationError(f"unknown engine mode: {mode}")
+    def __init__(self, params: StandardMapParams, n_max: int) -> None:
         self.params = params
-        self.n_max = int(n_max)
-        self.keep = (int(keep[0]), int(keep[1]))
-        if self.keep[0] < 1 or self.keep[1] < 1:
-            raise ValidationError("probe window must include (1, 1)")
+        self.n_max = check_run_length(n_max)
         self.t = 0
-        self.J, self.K = lattice_extents(self.n_max, self.keep)
+        self.J, self.K = lattice_extents(self.n_max)
 
-        m0 = _pi_multiple(params.q0)
-        mb = _pi_multiple(params.p0 * params.tau)
-        splittable = m0 is not None and mb is not None
-        if mode == "split" and not splittable:
-            raise ValidationError("split mode needs q0 and p0*tau to be multiples of pi")
-        self.split = splittable if mode == "auto" else (mode == "split")
+        m0, mb = _pi_multiple(params.q0), _pi_multiple(params.p0 * params.tau)
+        self.split = m0 is not None and mb is not None
 
         if self.split:
             self._m0, self._mb = m0, mb
-            self.c_mu = complex(params.v1)
-            self.c_nu = complex(params.v2)
+            self.c_mu, self.c_nu = complex(params.v1), complex(params.v2)
         else:
             self._m0 = self._mb = 0
             self.c_mu = self.c_nu = 0.0 + 0.0j
@@ -267,11 +270,11 @@ class GField:
         table_bytes = self.n_max * 4 * (J + 2) * 4
         # the two difference rows are at most as wide as the box
         early = table_bytes + vector_bytes + 2 * cols * dtype.itemsize
-        if early > max_bytes:
+        if early > MAX_BYTES:
             raise ResourceError(
                 f"the cone table with the column vectors and two row buffers of a {dtype} "
-                f"lattice needs up to {early} bytes, exceeding the budget of {max_bytes}")
-        table, lo, hi = _cone_table(self.n_max, self.keep, J, self.K)
+                f"lattice needs up to {early} bytes, exceeding the budget of {MAX_BYTES}")
+        table, lo, hi = _cone_table(self.n_max, J, self.K)
         # the sweep reads only the post-kick hulls of rows 0..J, kept as
         # [start, stop) in floats of the float64 view of the lattice
         post = table[:, 2:, 1:] * pair
@@ -285,16 +288,16 @@ class GField:
         cells, widest = int(offset[-1]), int((post[:, 1] - post[:, 0]).max())
         # the row origins and one period's two hull lists (a 56-byte header per
         # list, a pointer and an int object per entry), the probe history of
-        # `run_standard_map`, and about 3 KB of other Python objects: array
+        # `lattice_probes`, and about 3 KB of other Python objects: array
         # headers and views, the field's attributes, each period's error state
         objects = 3 * (56 + 36 * (J + 1)) + (self.n_max + 1) * 2 * 16 + 3 * 1024
         self._lattice_bytes = (cells * dtype.itemsize + 2 * widest * 8 + post.nbytes
                                + offset.nbytes + vector_bytes + objects)
-        if self._lattice_bytes > max_bytes:
+        if self._lattice_bytes > MAX_BYTES:
             raise ResourceError(
                 f"lattice of {cells} {dtype} cells (rows 0..{J} over the backward "
                 f"cone) with two row buffers, the column vectors and the hull table "
-                f"needs {self._lattice_bytes} bytes, exceeding the budget of {max_bytes}")
+                f"needs {self._lattice_bytes} bytes, exceeding the budget of {MAX_BYTES}")
         self._post = post
 
         fcol = params.f(params.tau * np.arange(-self.K, self.K + 1))
@@ -343,7 +346,7 @@ class GField:
         (2K + 1)-vectors of floats (in split mode the kick coefficients, the
         source column and one period's source; in direct mode the kick
         coefficients repeated per (re, im) pair); one period's hull lists;
-        and the (n_max + 1) x 2 complex probe history of `run_standard_map`.
+        and the (n_max + 1) x 2 complex probe history of `lattice_probes`.
         """
         return self._lattice_bytes
 
@@ -359,39 +362,24 @@ class GField:
         sign = -1.0 if ((self._kick_parity(self.t) * j + self._mb * k) % 2) else 1.0
         return (self.c_mu * j + self.c_nu * k * self.params.tau) * sign
 
-    # -- public access --------------------------------------------------------
-
-    def _check_window(self, j: int, k: int) -> None:
-        if abs(j) > self.J or abs(k) > self.K:
-            raise ConeError(f"cell ({j}, {k}) outside the allocated lattice")
-        if self.t > 0 and (abs(j) > self.keep[0] or abs(k) > self.keep[1]):
-            raise ConeError(
-                f"cell ({j}, {k}) outside the declared probe window {self.keep}; "
-                "construct the field with a larger keep window")
-
-    def _stored(self, j: int, k_lo: int, k_hi: int) -> int:
-        """Flat index of G(j, k_lo), j >= 0; cells k_lo..k_hi must be stored."""
-        zero = self._base[j] + j * self.t + self.K
-        first, end = int(self._offset[j]), int(self._offset[j + 1])
-        if zero + k_lo < first or zero + k_hi >= end:
-            raise ConeError(
-                f"cells ({j}, {k_lo}..{k_hi}) outside the stored backward cone "
-                f"(row {j} holds k = {first - zero}..{end - zero - 1})")
-        return zero + k_lo
-
-    def value(self, j: int, k: int) -> complex:
-        """G at lattice point (mu = j, nu = k tau), current time."""
-        self._check_window(j, k)
-        carried = self._carried_value(j, k)
-        if self._dev is None:
-            return carried
-        if j >= 0:
-            return carried + complex(self._dev[self._stored(j, k, k)])
-        return carried - complex(self._dev[self._stored(-j, -k, -k)]).conjugate()
+    # -- probes ---------------------------------------------------------------
 
     def probe_pair(self) -> tuple[complex, complex]:
-        """The two derivative-iteration probes G(1, tau) and G(-1, -tau)."""
-        return self.value(1, 1), self.value(-1, -1)
+        """The two derivative-iteration probes G(1, tau) and G(-1, -tau) now.
+
+        A split field whose deviation is still identically zero (`_dev is
+        None`) answers from the carried part alone.  Otherwise G(1, tau) adds
+        the stored cell (1, 1), and G(-1, -tau) its mirror -conj; a cell
+        (1, 1) that is not stored raises `ConeError`.
+        """
+        plus, minus = self._carried_value(1, 1), self._carried_value(-1, -1)
+        if self._dev is None:
+            return plus, minus
+        cell = self._base[1] + self.t + self.K + 1
+        if not self._offset[1] <= cell < self._offset[2]:
+            raise ConeError(f"probe cell (1, 1) outside the stored backward cone at t = {self.t}")
+        dev = complex(self._dev[cell])
+        return plus + dev, minus - dev.conjugate()
 
     # -- evolution -------------------------------------------------------------
 
@@ -468,7 +456,7 @@ class GField:
             source = None
             if need_source:
                 source = (sign * gamma * post_free_c_mu).real * self._source_f
-            # overflow is caught through the probes (`run_standard_map`)
+            # overflow is caught through the probes (`lattice_probes`)
             with np.errstate(over="ignore", invalid="ignore"):
                 self._sweep(t, source, flip_odd_rows=bool(parity))
 
@@ -488,7 +476,7 @@ def derivative_iteration(probes: np.ndarray, params: StandardMapParams) -> Deriv
     """Evolve the origin derivatives from the probe history.
 
     ``probes[t]`` holds (G(1, tau, t), G(-1, -tau, t)) at post-kick times, as
-    `GField.probe_pair` and `hilbert.quantum_probes` return them; the free
+    `lattice_probes` and `hilbert.quantum_probes` return them; the free
     flight adds tau g3 to g2, and the kick shifts g3 by gamma/2 times the
     probe difference (the kick leaves g2 alone because f(0) = 0, and
     contributes to g3 through f'(0) = 1 in both regimes):
@@ -516,25 +504,34 @@ def derivative_iteration(probes: np.ndarray, params: StandardMapParams) -> Deriv
     return DerivativeSeries(g2, g3, probe_values=probes[:, 0].copy())
 
 
-def run_standard_map(params: StandardMapParams, n_max: int,
-                     mode: str = "auto") -> tuple[DerivativeSeries, ExponentEstimate]:
-    """Full pipeline: evolve the lattice, iterate derivatives, fit the rate
-    over the estimator's default window.
+def lattice_probes(params: StandardMapParams, n_max: int) -> np.ndarray:
+    """Probe history (G(1, tau, t), G(-1, -tau, t)), t = 0..n_max, first-order lattice.
 
-    Raises `NumericalError` at the first period whose probes overflow; a
-    derivative norm that overflows inside the fit window raises
-    `DegenerateSeriesError` in the estimator.
+    The contract of `hilbert.quantum_probes`: it feeds `derivative_iteration`
+    directly.  Raises `ValidationError` for an n_max that is not an integer
+    of at least 1, `ResourceError` when the lattice would exceed `MAX_BYTES`,
+    and `NumericalError` at the first period whose probes overflow.
     """
-    field = GField(params, n_max, mode=mode)
-    probes = np.empty((n_max + 1, 2), dtype=complex)
+    field = GField(params, n_max)
+    probes = np.empty((field.n_max + 1, 2), dtype=complex)
     probes[0] = field.probe_pair()
-    for t in range(1, n_max + 1):
+    for t in range(1, field.n_max + 1):
         field.advance()
         probes[t] = pair = field.probe_pair()
         if not (cmath.isfinite(pair[0]) and cmath.isfinite(pair[1])):
             raise NumericalError(f"lattice probes left the finite range at period {t}")
-    del field
-    series = derivative_iteration(probes, params)
+    return probes
+
+
+def run_standard_map(params: StandardMapParams,
+                     n_max: int) -> tuple[DerivativeSeries, ExponentEstimate]:
+    """Full pipeline: lattice probes, derivative iteration, and the rate fitted
+    over the estimator's default window.
+
+    A derivative norm that overflows inside the fit window raises
+    `DegenerateSeriesError` in the estimator.
+    """
+    series = derivative_iteration(lattice_probes(params, n_max), params)
     return series, estimate_exponent(series)
 
 

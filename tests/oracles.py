@@ -184,28 +184,16 @@ def brute_force_probes(gamma: float, hbar: float, tau: float, n_max: int,
     return np.array([[cur[cell] for cell in probes] for cur in lattices])
 
 
-def brute_force_windows(gamma: float, hbar: float, tau: float, n_max: int,
-                        keep: tuple[int, int], v1: float = 1.0, v2: float = 1.0,
-                        q0: float = 0.0, p0: float = 0.0):
-    """G on the window |j| <= keep[0], |k| <= keep[1] at t = 0..n_max, from the
-    dictionary lattice; shape (n_max + 1, 2 keep[0] + 1, 2 keep[1] + 1)."""
-    cells = [[(j, k) for k in range(-keep[1], keep[1] + 1)]
-             for j in range(-keep[0], keep[0] + 1)]
-    targets = [cell for row in cells for cell in row]
-    lattices = _dictionary_lattice(gamma, hbar, tau, n_max, targets, v1, v2, q0, p0)
-    return np.array([[[cur[cell] for cell in row] for row in cells] for cur in lattices])
-
-
-def _full_cone_table(n_max: int, keep: tuple[int, int], J: int, K: int) -> np.ndarray:
+def _full_cone_table(n_max: int, J: int, K: int) -> np.ndarray:
     """The engine's hull table with all rows j = -J..J, row j at index j + J."""
     rows, cols = 2 * J + 1, 2 * K + 1
     j = np.arange(-J, J + 1)
-    in_keep = np.abs(j) <= keep[0]
+    in_probe = np.abs(j) <= 1
     table = np.empty((n_max, 4, rows), dtype=np.int32)
     lo, hi = np.full(rows, cols), np.full(rows, -1)
     for t in range(n_max, 0, -1):
-        lo[in_keep] = np.minimum(lo[in_keep], K - keep[1])
-        hi[in_keep] = np.maximum(hi[in_keep], K + keep[1])
+        lo[in_probe] = np.minimum(lo[in_probe], K - 1)
+        hi[in_probe] = np.maximum(hi[in_probe], K + 1)
         lo_pad = np.pad(lo, 1, constant_values=cols)
         hi_pad = np.pad(hi, 1, constant_values=-1)
         pre_lo = np.minimum(np.minimum(lo_pad[:-2], lo_pad[1:-1]), lo_pad[2:])
@@ -224,14 +212,16 @@ def full_lattice_probes(params: StandardMapParams, n_max: int, mode: str = "auto
     The engine's evolution as it was before it stored only rows j >= 0: the
     same initial data, carried part, source and per-cell arithmetic in the
     same order, with no use of the symmetry G(-j, -k) = -conj G(j, k).  The
-    half-lattice engine must reproduce it bit for bit.
+    half-lattice engine must reproduce it bit for bit.  Mode "auto" follows
+    the base point as the engine does; "split" and "direct" force a mode, and
+    "direct" at a splittable base point is the cross-check of split mode.
     """
     J, K = lattice_extents(n_max)
     rows, cols = 2 * J + 1, 2 * K + 1
     gamma, tau = params.gamma, params.tau
     m0, mb = _pi_multiple(params.q0), _pi_multiple(params.p0 * tau)
     split = (m0 is not None and mb is not None) if mode == "auto" else mode == "split"
-    cone = _full_cone_table(n_max, (1, 1), J, K)
+    cone = _full_cone_table(n_max, J, K)
     k_all = np.arange(-K, K + 1)
     fcol = params.f(tau * k_all)
     half_gamma_f = (gamma / 2.0) * fcol

@@ -25,6 +25,7 @@ from tomolyap import (
     harmonic_derivative_series,
     harmonic_lyapunov,
     inverse_tomogram,
+    lattice_probes,
     pure_state_tomogram,
     quantum_probes,
     run_standard_map,
@@ -35,7 +36,6 @@ from tomolyap import (
     verify_quadratic_deformation_vanishes,
 )
 from tomolyap.floquet import build_cat_model
-from tomolyap.standard_map import GField
 from oracles import floquet_probes, ground_state
 
 LAMBDA_GOLDEN = np.log((3.0 + np.sqrt(5.0)) / 2.0)
@@ -217,11 +217,7 @@ def test_acceptance_6_symbolic_oracle_equivalence():
     for gamma in (0.5, 1.0, 2.0):
         for hbar in (0.0, 1.0):
             params = StandardMapParams(gamma=gamma, hbar=hbar)
-            field = GField(params, 8)
-            values = [field.value(1, 1)]
-            for _ in range(8):
-                field.advance()
-                values.append(field.value(1, 1))
+            values = lattice_probes(params, 8)[:, 0]
             for n in range(9):
                 sym = symbolic_expand(params, n)
                 rel = abs(sym - values[n]) / max(1.0, abs(values[n]))

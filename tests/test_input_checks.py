@@ -10,7 +10,6 @@ from tomolyap import (
     CatVariant,
     FloquetMatrix,
     GaussianDensity,
-    GField,
     GridDensity,
     QuadraticModel,
     StandardMapParams,
@@ -23,13 +22,17 @@ from tomolyap import (
     forward_tomogram,
     gaussian_tomogram_family,
     harmonic_derivative_series,
+    lattice_probes,
     propagate_tomogram_params,
     pure_state_tomogram_family,
+    quantum_probes,
     symbolic_expand,
 )
+from tomolyap.standard_map import GField
 from oracles import ground_state
 
 PARAMS = StandardMapParams(1.0)
+QUANTUM = StandardMapParams(1.0, hbar=1.0)
 # a 5 x 5 grid with cell area 1/4 on which ones have mass 6.25
 AXIS = np.linspace(-1.0, 1.0, 5)
 UNEVEN = np.array([-1.0, -0.5, 0.0, 0.25, 1.0])
@@ -63,10 +66,16 @@ CASES = {
         lambda: propagate_tomogram_params(build_cat_model(CatVariant.H1), 1, np.zeros(3), np.zeros(2)),
         "mu and nu must be length-2 vectors"),
     "GField-n_max": (lambda: GField(PARAMS, 0), "n_max must be at least 1"),
-    "GField-mode": (lambda: GField(PARAMS, 2, mode="fast"), "unknown engine mode: fast"),
-    "GField-keep": (lambda: GField(PARAMS, 2, keep=(0, 1)), "probe window must include"),
-    "GField-split": (
-        lambda: GField(StandardMapParams(1.0, q0=0.7), 2, mode="split"), "split mode needs"),
+    "lattice_probes-fraction": (
+        lambda: lattice_probes(PARAMS, 2.5), "n_max must be an integer, got 2.5"),
+    "lattice_probes-integral-float": (
+        lambda: lattice_probes(PARAMS, 3.0), "n_max must be an integer, got 3.0"),
+    "lattice_probes-bool": (lambda: lattice_probes(PARAMS, True), "n_max must be an integer, got True"),
+    "lattice_probes-numpy-float": (
+        lambda: lattice_probes(PARAMS, np.float64(20.5)), "n_max must be an integer, got 20.5"),
+    "quantum_probes-fraction": (
+        lambda: quantum_probes(QUANTUM, 2.5), "n_max must be an integer, got 2.5"),
+    "quantum_probes-bool": (lambda: quantum_probes(QUANTUM, True), "n_max must be an integer, got True"),
     "classical_closed_form-negative-n": (
         lambda: classical_closed_form(1.0, 1.0, 1.0, -1), "n must be nonnegative"),
     "symbolic_expand-negative-n": (lambda: symbolic_expand(PARAMS, -1), "n must be nonnegative"),

@@ -3,10 +3,10 @@ import tracemalloc
 import pytest
 
 from tomolyap import (
-    GField,
     ResourceError,
     StandardMapParams,
     ValidationError,
+    lattice_probes,
     symbolic_expand,
 )
 from tomolyap.symbolic import M0, M_MINUS, M_PLUS, X0, Y0
@@ -16,10 +16,7 @@ QUANTUM_STEP1 = 4.917702154416812  # 3 + 4 sin(1/2)
 
 
 def lattice_probe(params, n):
-    field = GField(params, max(n, 1))
-    for _ in range(n):
-        field.advance()
-    return field.value(1, 1)
+    return lattice_probes(params, max(n, 1))[n, 0]
 
 
 def test_empty_expansion():
