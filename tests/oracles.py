@@ -184,6 +184,18 @@ def brute_force_probes(gamma: float, hbar: float, tau: float, n_max: int,
     return np.array([[cur[cell] for cell in probes] for cur in lattices])
 
 
+def brute_force_windows(gamma: float, hbar: float, tau: float, n_max: int,
+                        keep: tuple[int, int], v1: float = 1.0, v2: float = 1.0,
+                        q0: float = 0.0, p0: float = 0.0):
+    """G on the window |j| <= keep[0], |k| <= keep[1] at t = 0..n_max, from the
+    dictionary lattice; shape (n_max + 1, 2 keep[0] + 1, 2 keep[1] + 1)."""
+    cells = [[(j, k) for k in range(-keep[1], keep[1] + 1)]
+             for j in range(-keep[0], keep[0] + 1)]
+    targets = [cell for row in cells for cell in row]
+    lattices = _dictionary_lattice(gamma, hbar, tau, n_max, targets, v1, v2, q0, p0)
+    return np.array([[[cur[cell] for cell in row] for row in cells] for cur in lattices])
+
+
 def _full_cone_table(n_max: int, J: int, K: int) -> np.ndarray:
     """The engine's hull table with all rows j = -J..J, row j at index j + J."""
     rows, cols = 2 * J + 1, 2 * K + 1

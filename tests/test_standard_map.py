@@ -25,6 +25,7 @@ from oracles import (
     _dictionary_lattice,
     _full_cone_table,
     brute_force_probes,
+    brute_force_windows,
     full_lattice_probes,
 )
 
@@ -34,6 +35,30 @@ QUANTUM_STEP1 = 4.917702154416812  # 3 + 4 sin(1/2)
 
 def classical_params(**kw):
     return StandardMapParams(gamma=kw.pop("gamma", 1.0), **kw)
+
+
+def force_direct(monkeypatch):
+    """Make every GField built afterwards take the direct path, as at a
+    generic base point, even where q0 and p0 tau are multiples of pi."""
+    monkeypatch.setattr(standard_map, "_pi_multiple", lambda x: None)
+
+
+def stored_window(field, keep):
+    """G over |j| <= keep[0], |k| <= keep[1] now, read cell by cell from the
+    stored rows j >= 0 and, for j < 0, through the mirror -conj G(-j, -k);
+    every cell read must lie in its row's storage."""
+    def deviation(j, k):
+        if field._dev is None:
+            return 0.0
+        lo, hi = stored_ranges(field)[j]
+        x = field.K + k + j * field.t  # comoving column
+        assert lo <= x <= hi, (j, k, field.t)
+        return complex(field._dev[field._base[j] + x])
+
+    return np.array([[field._carried_value(j, k)
+                      + (deviation(j, k) if j >= 0 else -np.conj(deviation(-j, -k)))
+                      for k in range(-keep[1], keep[1] + 1)]
+                     for j in range(-keep[0], keep[0] + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -194,29 +219,44 @@ def test_split_column_sign_source_matches_brute_force(q0):
 # exp(i pi j) grows through the unbounded classical kick coefficient
 @pytest.mark.parametrize("mode, q0, hbar", [
     ("split", 0.0, 0.0), ("split", 0.0, 1.0), ("split", np.pi, 1.0),
-    ("direct", 1.3, 0.0), ("direct", 1.3, 1.0)])
-def test_probes_match_dictionary_lattice(mode, q0, hbar):
-    # after every period, in the mode the base point selects
+    ("direct", 0.0, 0.0), ("direct", 0.0, 1.0), ("direct", 1.3, 0.0), ("direct", 1.3, 1.0)])
+@pytest.mark.parametrize("keep", [(1, 1)])
+def test_keep_window_matches_dictionary_lattice(keep, mode, q0, hbar, monkeypatch):
+    # every cell of the probe window the cone keeps is stored after every
+    # period, so a sweep hull that misses one shows here even when the probes
+    # are right; direct at q0 = 0 is forced
     n = 10
+    if mode == "direct":
+        force_direct(monkeypatch)
     params = StandardMapParams(gamma=1.0, hbar=hbar, q0=q0)
-    assert GField(params, 1).split == (mode == "split")
-    got = lattice_probes(params, n)
-    expected = brute_force_probes(1.0, hbar, 1.0, n, q0=q0)
+    field = GField(params, n)
+    assert field.split == (mode == "split")
+    expected = brute_force_windows(1.0, hbar, 1.0, n, keep, q0=q0)
+    probes = lattice_probes(params, n)
     for t in range(n + 1):
+        if t:
+            field.advance()
+        window = stored_window(field, keep)
         scale = max(1.0, np.max(np.abs(expected[t])))
-        assert np.max(np.abs(got[t] - expected[t])) <= 1e-10 * scale, t
+        assert np.max(np.abs(window - expected[t])) <= 1e-10 * scale, t
+        assert probes[t].tobytes() == np.array(field.probe_pair()).tobytes(), t
 
 
+@pytest.mark.parametrize("mode", ["auto", "direct"])
 @pytest.mark.parametrize("p0", [0.0, np.pi, 0.4])
 @pytest.mark.parametrize("q0", [0.0, np.pi, 1.3])
 @pytest.mark.parametrize("hbar", [0.0, 0.7, 1.0])
-def test_half_lattice_equals_full_lattice(hbar, q0, p0):
+def test_half_lattice_equals_full_lattice(hbar, q0, p0, mode, monkeypatch):
     # rows j < 0 come from the mirror G(-j, -k) = -conj G(j, k); the full
     # sweep computes them, so any lost bit shows as an inequality.  Bytes, not
     # values, are compared: direct mode runs its complex cells as float pairs,
-    # and that could differ from complex arithmetic in the sign of a zero
+    # and that could differ from complex arithmetic in the sign of a zero.
+    # Mode "direct" forces the direct path at the splittable base points too
     params = StandardMapParams(gamma=1.0, hbar=hbar, q0=q0, p0=p0, v1=0.6, v2=-1.1)
-    assert lattice_probes(params, 30).tobytes() == full_lattice_probes(params, 30).tobytes()
+    expected = full_lattice_probes(params, 30, mode)
+    if mode == "direct":
+        force_direct(monkeypatch)
+    assert lattice_probes(params, 30).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n, q0, split", [(200, 0.0, True), (140, 1.3, False)])
@@ -297,6 +337,23 @@ def test_dictionary_lattice_is_point_symmetric(hbar):
         got = np.array([cur[(-j, -k)] for j, k in cells])
         expected = np.array([-np.conj(cur[cell]) for cell in cells])
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0, err_msg=f"t = {t}")
+
+
+def test_classical_linearity_preserved_direct_mode(monkeypatch):
+    # direct-mode stencil keeps linear data exactly linear (relative to the
+    # field magnitude) over the stored window, period by period
+    n = 20
+    force_direct(monkeypatch)
+    field = GField(classical_params(), n)
+    assert not field.split
+    j = np.arange(-1, 2)[:, None]
+    k = np.arange(-1, 2)[None, :]
+    for t in range(1, n + 1):
+        field.advance()
+        window = stored_window(field, (1, 1))
+        g2, g3 = classical_closed_form(1.0, 1.0, 1.0, t)
+        expected = g2 * j + g3 * k
+        assert np.max(np.abs(window - expected)) < 1e-10 * np.max(np.abs(window)), t
 
 
 # ---------------------------------------------------------------------------
