@@ -4,6 +4,8 @@ phase-space dynamics."""
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .errors import (
     ConeError,
     ConfigError,
@@ -57,4 +59,6 @@ from .tomography import (
     wigner_from_tomogram,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names bound above; the submodules the imports bind are not API
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -2,9 +2,16 @@
 
 The exponent is the large-time growth rate of ``ln ||(g2(t), g3(t))||``.  A
 finite run only ever sees a window of that limit, so the estimate is a
-least-squares slope over the last half of the series, with a zero/positive
-classification that is robust against the polynomial prefactors produced by
-non-chaotic dynamics.
+least-squares slope over the last half of the series.  The slope is
+classified `zero` when its magnitude is below both 3 standard errors and
+`ZERO_SLOPE_THRESHOLD`, and `positive` or `negative` otherwise.
+
+The rule does not separate polynomial from exponential growth at the run
+lengths in use.  A norm growing as t^a reads a last-half slope of about
+2 a ln 2 / n after n periods, so linear growth classifies `positive` up to
+about n = 69 and cubic growth up to about n = 208.  The standard error
+comes from the residuals of a deterministic series, which are correlated,
+so it is a heuristic and not a confidence bound.
 """
 
 from __future__ import annotations

@@ -303,6 +303,43 @@ def full_lattice_probes(params: StandardMapParams, n_max: int, mode: str = "auto
     return probes
 
 
+def long_double_plane_wave_probes(params: StandardMapParams, n_max: int) -> np.ndarray:
+    """Probes G(1, tau, t), t = 0..n_max, of the first-order law at hbar > 0 from
+    its plane-wave recursion in long double.
+
+    G_t[j, k] = sum_m (c(j, m) + k d(j, m)) exp(i k beta_m), beta_m = p0 tau +
+    m hbar tau / 2: free flight takes c to (c + j d) exp(i j beta_m) and d to
+    d exp(i j beta_m), and the kick adds alpha (Dc(j, m - 1) - Dc(j, m + 1)),
+    alpha = gamma / (2 i hbar), Dc(j) = c(j + 1) - c(j - 1), and the same for
+    d.  Unlike the library, every period updates the whole box of rows
+    j = -1..n_max + 1 and plane waves |m| <= n_max + 1 (row -1 refilled from
+    the mirror -conj c(1), conj d(1)), forms each phase exp(i j beta_m)
+    directly, and sums the probe terms in index order, all in long double.
+    """
+    ld = np.longdouble
+    mid = n_max + 1
+    j = np.arange(-1, n_max + 2).astype(ld)
+    tau = ld(params.tau)
+    beta = ld(params.p0) * tau + np.arange(-mid, mid + 1).astype(ld) * (ld(params.hbar) * tau / 2)
+    flight = np.exp(1j * np.multiply.outer(j, beta))
+    q_phase = np.exp(1j * (ld(params.q0) * j))
+    c = np.zeros(flight.shape, dtype=np.clongdouble)
+    d = np.zeros_like(c)
+    c[:, mid] = ld(params.v1) * j * q_phase
+    d[:, mid] = ld(params.v2) * tau * q_phase
+    alpha = -1j * (ld(params.gamma) / (2 * ld(params.hbar)))
+    probes = [np.sum((c[2] + d[2]) * flight[2])]  # row 1 sits at index 2
+    for _ in range(n_max):
+        c = (c + j[:, None] * d) * flight
+        d = d * flight
+        for a in (c, d):
+            diff = a[2:] - a[:-2]
+            a[1:-1, 1:-1] += alpha * (diff[:, :-2] - diff[:, 2:])
+        c[0], d[0] = -np.conj(c[2]), np.conj(d[2])
+        probes.append(np.sum((c[2] + d[2]) * flight[2]))
+    return np.array(probes).astype(complex)
+
+
 def _bessel_dictionary_lattice(gamma: float, hbar: float, tau: float, n_max: int,
                                targets, v1: float, v2: float, q0: float, p0: float):
     """Dictionary-lattice evolution of the shear recursion under the exact kick.

@@ -406,3 +406,14 @@ def test_cat_routes_and_quantum_probes_load_no_scipy(tmp_path):
     assert scipy_modules_loaded_by(code) == "[]"
     for argv in runs:
         assert (tmp_path / argv[0] / f"{argv[0]}_result.json").exists()
+
+
+def test_package_all_lists_api_names_not_submodules():
+    import types
+
+    import tomolyap
+
+    modules = [name for name in tomolyap.__all__
+               if isinstance(getattr(tomolyap, name), types.ModuleType)]
+    assert modules == []
+    assert {"lattice_probes", "quantum_probes"} <= set(tomolyap.__all__)

@@ -5,6 +5,7 @@ import pytest
 
 from tomolyap import (
     ConeError,
+    NumericalError,
     ResourceError,
     StandardMapParams,
     ValidationError,
@@ -18,15 +19,20 @@ from tomolyap import (
 from tomolyap.standard_map import (
     GField,
     _cone_table,
+    _gfield_probes,
+    _plane_wave_bytes,
+    _plane_wave_probes,
     hbar_resonance,
     lattice_extents,
 )
+from tomolyap.symbolic import symbolic_expand
 from oracles import (
     _dictionary_lattice,
     _full_cone_table,
     brute_force_probes,
     brute_force_windows,
     full_lattice_probes,
+    long_double_plane_wave_probes,
 )
 
 LAMBDA_GOLDEN = 0.9624236501192069
@@ -102,7 +108,7 @@ def test_numpy_integer_run_length_is_accepted():
 def test_memory_budget_enforced(monkeypatch):
     monkeypatch.setattr(standard_map, "MAX_BYTES", 10_000_000)
     with pytest.raises(ResourceError, match="float64"):
-        lattice_probes(classical_params(), 200)
+        _gfield_probes(StandardMapParams(gamma=1.0, hbar=1.0), 200)
     with pytest.raises(ResourceError, match="complex128"):
         lattice_probes(classical_params(q0=0.7), 200)
 
@@ -111,26 +117,29 @@ def test_memory_budget_checked_before_the_cone_table_is_built(monkeypatch):
     # the n = 200 table alone takes 200 x 4 x 203 int32 entries, 650 KB
     monkeypatch.setattr(standard_map, "MAX_BYTES", 500_000)
     with pytest.raises(ResourceError, match="cone table .* float64"):
-        lattice_probes(classical_params(), 200)
+        _gfield_probes(StandardMapParams(gamma=1.0, hbar=1.0), 200)
 
 
 # p0 tau = pi puts a (-1)^k column sign on the split-mode kick source; at
 # small n the run's Python objects are a visible part of the peak.  The mode
-# follows the base point: q0 = 0 runs split, q0 = 1.3 direct
-@pytest.mark.parametrize("n, q0, p0", [
-    pytest.param(n, q0, p0, id=name if n == 60 else f"{name}-n{n}")
+# follows the base point: q0 = 0 runs split, q0 = 1.3 direct.  A classical
+# split field builds no lattice, so its budget is the probe history and the
+# field's own objects
+@pytest.mark.parametrize("n, q0, p0, hbar", [
+    pytest.param(n, q0, p0, 1.0, id=name if n == 60 else f"{name}-n{n}")
     for n in (60, 20, 30)
     for q0, p0, name in [(0.0, 0.0, "split"), (1.3, 0.0, "direct"),
-                         (0.0, np.pi, "split-p0pi"), (1.3, np.pi, "direct-p0pi")]])
-def test_lattice_bytes_is_the_traced_peak(n, q0, p0):
-    params = StandardMapParams(gamma=1.0, hbar=1.0, q0=q0, p0=p0)
+                         (0.0, np.pi, "split-p0pi"), (1.3, np.pi, "direct-p0pi")]] + [
+    pytest.param(n, 0.0, 0.0, 0.0, id=f"classical-split-n{n}") for n in (60, 200)])
+def test_lattice_bytes_is_the_traced_peak(n, q0, p0, hbar):
+    params = StandardMapParams(gamma=1.0, hbar=hbar, q0=q0, p0=p0)
     field = GField(params, n)
     assert field.split == (q0 == 0.0)
     budget = field.lattice_bytes
     del field
     tracemalloc.start()
     try:
-        run_standard_map(params, n)
+        _gfield_probes(params, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -232,7 +241,7 @@ def test_keep_window_matches_dictionary_lattice(keep, mode, q0, hbar, monkeypatc
     field = GField(params, n)
     assert field.split == (mode == "split")
     expected = brute_force_windows(1.0, hbar, 1.0, n, keep, q0=q0)
-    probes = lattice_probes(params, n)
+    probes = _gfield_probes(params, n)
     for t in range(n + 1):
         if t:
             field.advance()
@@ -256,14 +265,14 @@ def test_half_lattice_equals_full_lattice(hbar, q0, p0, mode, monkeypatch):
     expected = full_lattice_probes(params, 30, mode)
     if mode == "direct":
         force_direct(monkeypatch)
-    assert lattice_probes(params, 30).tobytes() == expected.tobytes()
+    assert _gfield_probes(params, 30).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("n, q0, split", [(200, 0.0, True), (140, 1.3, False)])
 def test_half_lattice_equals_full_lattice_at_benchmark_size(n, q0, split):
     params = StandardMapParams(gamma=1.0, hbar=1.0, q0=q0)
     assert GField(params, 1).split == split
-    assert lattice_probes(params, n).tobytes() == full_lattice_probes(params, n).tobytes()
+    assert _gfield_probes(params, n).tobytes() == full_lattice_probes(params, n).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 30])
@@ -375,6 +384,178 @@ def test_advance_past_budget_raises():
     field.advance()
     with pytest.raises(ConeError):
         field.advance()
+
+
+# ---------------------------------------------------------------------------
+# plane-wave evaluation of the first-order law (hbar > 0)
+# ---------------------------------------------------------------------------
+
+TWO_PI = 2.0 * np.pi
+
+# (params, tolerance on |plane wave - reference| / max(1, |reference|)), the
+# tolerance about 4 times the worst floor measured over the three references.
+# Most cases sit at 1e-14 to 3e-14.  The wider ones, and their causes:
+# - p0 tau = 2 pi (8.4e-13 against the whole lattice at n = 40): beta_m =
+#   2 pi + m hbar tau / 2 is rounded, where the lattice's split mode carries
+#   the exact multiple of pi;
+# - q0 = pi (1.6e-12, the same reference): the plane waves start from
+#   exp(i q0 j) at the rounded pi, the split lattice from exact signs;
+# - tau = 0.5, p0 tau = pi (1.2e-13 against the dictionary lattice): the
+#   dictionary lattice's own phases exp(i p0 tau k), k up to about 90;
+# - hbar tau = 0.15 (5.4e-12 against the symbolic expansion, whose own
+#   roundoff it is: the lattice reads 6.3e-12 there; 1.2e-12 against the
+#   whole lattice): the probe sum cancels, kappa = 1.7e4 at n = 40.
+PLANE_WAVE_CASES = {
+    "origin": (StandardMapParams(1.0, hbar=1.0, v1=0.6, v2=-1.1), 1e-13),
+    "generic": (StandardMapParams(1.0, hbar=1.0, q0=0.4, p0=0.9, v1=0.6, v2=-1.1), 1e-13),
+    "p0tau-pi": (StandardMapParams(1.0, hbar=1.0, p0=np.pi), 1e-13),
+    "p0tau-2pi": (StandardMapParams(1.0, hbar=1.0, p0=TWO_PI), 4e-12),
+    "q0-pi": (StandardMapParams(1.0, hbar=1.0, q0=np.pi), 6e-12),
+    "tau": (StandardMapParams(1.0, hbar=0.8, tau=0.7, q0=0.4, p0=0.9), 1e-13),
+    "tau-p0tau-pi": (StandardMapParams(1.0, hbar=0.8, tau=0.5, p0=TWO_PI), 5e-13),
+    "gamma-negative": (StandardMapParams(-0.8, hbar=1.0, v1=0.6, v2=-1.1), 1e-13),
+    "gamma-zero": (StandardMapParams(0.0, hbar=1.0, v1=0.6, v2=-1.1), 1e-14),
+    "resonant-2pi": (StandardMapParams(1.0, hbar=TWO_PI), 1e-14),
+    "resonant-4pi": (StandardMapParams(1.0, hbar=2.0 * TWO_PI), 1e-14),
+    "hbar-tau-0.15": (StandardMapParams(1.0, hbar=0.15), 2e-11),
+}
+
+
+def relative_gap(got, expected):
+    return float(np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected))))
+
+
+def plane_wave_run(params, n):
+    probes = _plane_wave_probes(params, n)
+    assert probes is not None, "the plane-wave run was abandoned"
+    return probes
+
+
+@pytest.mark.parametrize("case", PLANE_WAVE_CASES)
+def test_plane_waves_match_whole_lattice(case):
+    params, tol = PLANE_WAVE_CASES[case]
+    assert relative_gap(plane_wave_run(params, 40), full_lattice_probes(params, 40)) <= tol
+
+
+@pytest.mark.parametrize("case", PLANE_WAVE_CASES)
+def test_plane_waves_match_dictionary_lattice(case):
+    params, tol = PLANE_WAVE_CASES[case]
+    expected = brute_force_probes(params.gamma, params.hbar, params.tau, 12,
+                                  params.v1, params.v2, params.q0, params.p0)
+    assert relative_gap(plane_wave_run(params, 12), expected) <= tol
+
+
+@pytest.mark.parametrize("case", [case for case, (params, _) in PLANE_WAVE_CASES.items()
+                                  if params.tau == 1.0 and params.q0 == params.p0 == 0.0])
+def test_plane_waves_match_symbolic_expansion(case):
+    params, tol = PLANE_WAVE_CASES[case]
+    expected = np.array([symbolic_expand(params, t) for t in range(11)])
+    assert relative_gap(plane_wave_run(params, 10)[:, 0], expected) <= tol
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended-precision long double")
+@pytest.mark.parametrize("hbar", [1.0, 3.0])
+def test_plane_wave_phases_stay_consistent_at_large_beta(hbar):
+    # at p0 tau = 2 pi the phases beta_m reach 2 pi + 101 hbar / 2; formed as
+    # powers of exp(i beta_m) the plane waves are within 7.3e-14 (hbar = 1) and
+    # 1.1e-13 (hbar = 3) of the long-double recursion at n = 100, while phases
+    # formed as exp(i j beta_m) row by row read 1.2e-12 and 3.1e-12
+    params = StandardMapParams(1.0, hbar=hbar, p0=TWO_PI)
+    expected = long_double_plane_wave_probes(params, 100)
+    assert relative_gap(plane_wave_run(params, 100)[:, 0], expected) <= 4e-13
+
+
+def test_plane_wave_probes_are_real_at_the_origin():
+    # the terms at m and -m are conjugate bit for bit at p0 = 0 and are added
+    # in pairs, so a real field gives real probes, as on the lattice
+    probes = plane_wave_run(StandardMapParams(1.0, hbar=1.0), 200)
+    assert not np.any(probes.imag)
+
+
+def spy_on_plane_waves(monkeypatch):
+    """Record every result `lattice_probes` gets from the plane-wave run."""
+    results = []
+    run = standard_map._plane_wave_probes
+
+    def spy(params, n):
+        results.append(run(params, n))
+        return results[-1]
+
+    monkeypatch.setattr(standard_map, "_plane_wave_probes", spy)
+    return results
+
+
+def test_lattice_probes_falls_back_where_plane_waves_lose_digits(monkeypatch):
+    # at hbar tau = 0.05 the probe sum cancels: kappa passes 4.5e4 and the
+    # run is abandoned for the lattice, which stays accurate there
+    params = StandardMapParams(1.0, hbar=0.05)
+    results = spy_on_plane_waves(monkeypatch)
+    probes = lattice_probes(params, 60)
+    assert len(results) == 1 and results[0] is None
+    assert probes.tobytes() == _gfield_probes(params, 60).tobytes()
+
+
+def test_lattice_probes_builds_no_lattice_at_benchmark_size(monkeypatch):
+    params = StandardMapParams(1.0, hbar=1.0)
+    expected = _gfield_probes(params, 200)
+
+    def no_lattice(*args):
+        raise AssertionError("a GField was built")
+
+    monkeypatch.setattr(standard_map, "GField", no_lattice)
+    probes = lattice_probes(params, 200)
+    # the lattice's own roundoff is 9.7e-10 here (the plane waves are within
+    # 2.4e-13 of a long-double run of the same recursion)
+    assert relative_gap(probes, expected) <= 2e-9
+
+
+def test_lattice_probes_takes_the_lattice_at_hbar_zero(monkeypatch):
+    results = spy_on_plane_waves(monkeypatch)
+    params = StandardMapParams(1.0, q0=0.7)
+    assert lattice_probes(params, 20).tobytes() == _gfield_probes(params, 20).tobytes()
+    assert results == []
+
+
+def test_plane_wave_overflow_keeps_the_lattice_error(monkeypatch):
+    # the plane waves give up on the overflowing run; the lattice then raises
+    # its own error at its own period
+    params = StandardMapParams(1e4, hbar=1.0)
+    results = spy_on_plane_waves(monkeypatch)
+    with pytest.raises(NumericalError, match="left the finite range at period 76$"):
+        lattice_probes(params, 100)
+    assert len(results) == 1 and results[0] is None
+
+
+def test_plane_waves_over_budget_allocate_nothing(monkeypatch):
+    # one (n + 2) x (2n + 3) plane-wave array is 1.3 MB at n = 200; the
+    # lattice then raises its budget error before it builds its cone table
+    monkeypatch.setattr(standard_map, "MAX_BYTES", 500_000)
+    results = spy_on_plane_waves(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="cone table .* float64"):
+            lattice_probes(StandardMapParams(1.0, hbar=1.0), 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results == [None]
+    assert peak < 100_000
+
+
+@pytest.mark.parametrize("n", [20, 60, 200])
+@pytest.mark.parametrize("q0, p0", [(0.0, 0.0), (1.3, 0.4)])
+def test_plane_wave_bytes_is_the_traced_peak(n, q0, p0):
+    params = StandardMapParams(1.0, hbar=1.0, q0=q0, p0=p0)
+    budget = _plane_wave_bytes(n)
+    tracemalloc.start()
+    try:
+        probes = _plane_wave_probes(params, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probes is not None
+    assert abs(peak - budget) <= 0.03 * budget
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ seconds.
   the projected moments each state type gives;
 - floquet: the harmonic kick's derivative series;
 - oracle: the three tangent-map exponents at 2,000 steps;
-- standard_map: `lattice_probes` at n = 30, two split and two direct base
-  points;
+- standard_map.classical and standard_map.quantum: `lattice_probes` at
+  n = 30 and hbar = 0 or hbar = 1, at four base points, two of which run
+  split on the lattice and two direct;
 - symbolic: `symbolic_expand` at n = 8.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -134,14 +136,17 @@ def oracle() -> list:
     return [attempt(lambda: tangent_map_lyapunov(spec, 2000)) for spec in maps]
 
 
-def standard_map() -> list:
-    # the first two base points run split, the last two direct; each probe row
-    # is hashed as a pair of complex numbers
-    return [[tuple(row) for row in lattice_probes(params, 30)]
-            for params in (StandardMapParams(1.0, hbar=1.0),
-                           StandardMapParams(1.0, hbar=0.0, p0=np.pi),
-                           StandardMapParams(1.0, hbar=1.0, q0=1.3, p0=0.4),
-                           StandardMapParams(0.9, hbar=0.0, q0=1.3))]
+BASE_POINTS = (StandardMapParams(1.0, hbar=0.0),
+               StandardMapParams(1.0, hbar=0.0, p0=np.pi),
+               StandardMapParams(1.0, hbar=0.0, q0=1.3, p0=0.4),
+               StandardMapParams(0.9, hbar=0.0, q0=1.3))
+
+
+def standard_map(hbar: float) -> list:
+    # the first two base points run split on the lattice, the last two
+    # direct; each probe row is hashed as a pair of complex numbers
+    return [[tuple(row) for row in lattice_probes(replace(params, hbar=hbar), 30)]
+            for params in BASE_POINTS]
 
 
 def symbolic() -> list:
@@ -151,10 +156,12 @@ def symbolic() -> list:
 
 def main() -> None:
     for name, outputs in (("tomography", tomography), ("floquet", floquet), ("oracle", oracle),
-                          ("standard_map", standard_map), ("symbolic", symbolic)):
+                          ("standard_map.classical", lambda: standard_map(0.0)),
+                          ("standard_map.quantum", lambda: standard_map(1.0)),
+                          ("symbolic", symbolic)):
         h = hashlib.sha256()
         feed(h, outputs())
-        print(f"{name:14s}{h.hexdigest()}")
+        print(f"{name:24s}{h.hexdigest()}")
 
 
 if __name__ == "__main__":
